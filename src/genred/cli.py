@@ -113,9 +113,18 @@ def _resolve_initial(
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _CommandFailure(2, f"cannot write {out}: {exc}")
+
+
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise _CommandFailure(2, f"{flag} must be >= 0, got {value}")
+    return value
 
 
 def _format_partition(blocks) -> str:
@@ -155,28 +164,29 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         dump_generator(result.reduced, initial, result.quotient_map), args.out
     )
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dump_dot(result.reduced))
+        _write_or_print(dump_dot(result.reduced), args.dot)
     return 0
 
 
 def _size_limit(args: argparse.Namespace) -> int:
     if args.size_limit is not None:
-        return args.size_limit
+        return _nonnegative("--size-limit", args.size_limit)
     env = os.environ.get(SIZE_LIMIT_ENV)
     if env is not None:
         try:
-            return int(env)
+            return _nonnegative(SIZE_LIMIT_ENV, int(env))
         except ValueError:
             raise _CommandFailure(2, f"bad {SIZE_LIMIT_ENV} value {env!r}")
     return DEFAULT_SIZE_LIMIT
 
 
 def _cmd_words(args: argparse.Namespace) -> int:
+    _nonnegative("--max-len", args.max_len)
+    limit = _size_limit(args)
     gen, file_initial = _load_valid_generator(args.path, args)
     mu = _resolve_initial(gen, args.initial, file_initial, args.path)
     try:
-        table = word_distribution(gen, mu, args.max_len, _size_limit(args))
+        table = word_distribution(gen, mu, args.max_len, limit)
     except SizeLimitError as exc:
         raise _CommandFailure(1, str(exc))
     sys.stdout.write(dump_word_table(table))
@@ -240,6 +250,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _nonnegative("--n", args.n)
     gen, file_initial = _load_valid_generator(args.path, args)
     mu = _resolve_initial(gen, args.initial, file_initial, args.path)
     word, _ = sample(gen, mu, args.n, args.seed)

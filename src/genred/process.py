@@ -16,12 +16,13 @@ exactly by :func:`equivalent` without enumerating words.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
-from .core import ONE, ZERO, Distribution, Generator, Partition
+from .core import Distribution, Generator, Partition
 from .errors import (
     AlphabetMismatchError,
     DistributionMismatchError,
@@ -31,6 +32,9 @@ from .errors import (
 from .rng import SplitMix64
 
 Word = tuple[str, ...]
+Vector = dict[int, int]  # sparse integer vector: index -> nonzero entry
+Rows = list[list[tuple[int, int]]]  # per-index lists of (index, entry)
+Basis = list[tuple[int, Vector]]  # (pivot, primitive vector) in echelon order
 
 DEFAULT_SIZE_LIMIT = 10**6
 
@@ -191,163 +195,158 @@ def sample(
     return tuple(emitted), state
 
 
-def _shared_alphabet(gen1: Generator, gen2: Generator) -> tuple[str, ...]:
+def _joint_rows(gens: tuple[Generator, ...], backward: bool) -> dict[str, Rows]:
+    """Sparse per-symbol integer rows of the block-diagonal kernel on the
+    concatenated state spaces, over one common denominator D.  Forward rows
+    give ``v M_s`` (``rows[s][i]`` lists ``(j, D*M_s[i][j])``); backward
+    rows, the transpose, give ``M_s v``."""
+    common = lcm(*(p.denominator for g in gens for row in g.kernel.values()
+                   for p in row.values()))
+    rows = {s: [[] for _ in range(sum(len(g.states) for g in gens))] for s in gens[0].alphabet}
+    offset = 0
+    for g in gens:
+        for x, row in g.kernel.items():
+            for (y, s), p in row.items():
+                i, j = offset + g.state_index[x], offset + g.state_index[y]
+                if backward:
+                    i, j = j, i
+                rows[s][i].append((j, p.numerator * (common // p.denominator)))
+        offset += len(g.states)
+    return rows
+
+
+def _apply(vec: Vector, rows: Rows) -> Vector:
+    out: Vector = {}
+    for i, v in vec.items():
+        for j, m in rows[i]:
+            out[j] = out.get(j, 0) + v * m
+    return {j: v for j, v in out.items() if v}
+
+
+def _insert(basis: Basis, vec: Vector) -> Vector | None:
+    """Insert an integer vector into an echelon basis of primitive integer
+    vectors, each with a pivot that no later basis vector touches.
+
+    Reduction is fraction-free (``v*b[p] - v[p]*b``) and the result is
+    divided by its content gcd, which keeps coefficients small.  Returns the
+    residual, now appended to the basis, or None if ``vec`` is in the span.
+    """
+    for pivot, base in basis:
+        c = vec.get(pivot)
+        if c:
+            g = gcd(base[pivot], c)
+            b, c = base[pivot] // g, c // g
+            out = {j: v * b for j, v in vec.items()}
+            for j, v in base.items():
+                out[j] = out.get(j, 0) - c * v
+            vec = {j: v for j, v in out.items() if v}
+    if not vec:
+        return None
+    g = gcd(*vec.values())
+    vec = {j: v // g for j, v in vec.items()}
+    basis.append((next(iter(vec)), vec))
+    return vec
+
+
+def _span(start: Vector, rows: dict[str, Rows]) -> Iterator[tuple[int, Vector]]:
+    """Breadth-first closure of ``start`` under the per-symbol maps, yielding
+    each new basis vector with its depth; those of depth <= d span the
+    images of all words of length <= d.  Children are expanded from the
+    residual, which differs from the popped vector only by basis vectors
+    whose children are already queued."""
+    basis: Basis = []
+    queue = deque([(0, start)])
+    while queue:
+        depth, vec = queue.popleft()
+        residual = _insert(basis, vec)
+        if residual is not None:
+            yield depth, residual
+            queue.extend((depth + 1, _apply(residual, mat)) for mat in rows.values())
+
+
+def _first_difference(
+    gen1: Generator, mu1: Distribution, gen2: Generator, mu2: Distribution
+) -> tuple[int | None, Vector, dict[str, Rows]]:
+    """Check the pair and return the length of the shortest word whose
+    probabilities differ (None if none does), the concatenated initial
+    vector scaled to integers, and the forward rows.
+
+    The length is the depth of the first basis vector of the forward
+    closure on which mass on the first machine minus mass on the second is
+    nonzero; pruned vectors inherit a zero value by linearity.
+    """
     if set(gen1.alphabet) != set(gen2.alphabet):
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(gen1.alphabet)} vs {sorted(gen2.alphabet)}"
         )
-    return gen1.alphabet
-
-
-def _fraction_matrices(gen: Generator) -> dict[str, list[list[Fraction]]]:
-    n = len(gen.states)
-    mats = {s: [[ZERO] * n for _ in range(n)] for s in gen.alphabet}
-    for x, row in gen.kernel.items():
-        i = gen.state_index[x]
-        for (y, s), p in row.items():
-            mats[s][i][gen.state_index[y]] = p
-    return mats
-
-
-def _reduce_against(
-    vec: list[Fraction], basis: list[tuple[int, list[Fraction]]]
-) -> list[Fraction]:
-    vec = list(vec)
-    for pivot, base in basis:
-        coeff = vec[pivot]
-        if coeff:
-            factor = coeff / base[pivot]
-            for j in range(len(vec)):
-                if base[j]:
-                    vec[j] -= factor * base[j]
-    return vec
+    _check_distribution(gen1, mu1)
+    _check_distribution(gen2, mu2)
+    (d1, v1), (d2, v2) = _scaled_initial(gen1, mu1), _scaled_initial(gen2, mu2)
+    start = {j: w for j, w in enumerate([w * d2 for w in v1] + [w * d1 for w in v2]) if w}
+    forward, n1 = _joint_rows((gen1, gen2), backward=False), len(gen1.states)
+    for depth, vec in _span(start, forward):
+        if sum(v if j < n1 else -v for j, v in vec.items()):
+            return depth, start, forward
+    return None, start, forward
 
 
 def equivalent(
     gen1: Generator, mu1: Distribution, gen2: Generator, mu2: Distribution
 ) -> bool:
-    """Decide exactly whether the two processes agree on all finite words.
-
-    Spanning-basis procedure on the joint state space: starting from the
-    concatenated initial vector, close the set of reachable signed state
-    vectors under the per-symbol matrices, keeping only a linearly
-    independent basis.  Each new basis vector is checked against the
-    evaluation functional (total mass on the first machine minus total mass
-    on the second); the processes agree iff it vanishes on every basis
-    vector.  At most |Q1| + |Q2| vectors ever enter the basis, and any
-    pruned vector inherits the vanishing property from the basis by
-    linearity, so pruning never loses a discrepancy.
-    """
-    alphabet = _shared_alphabet(gen1, gen2)
-    _check_distribution(gen1, mu1)
-    _check_distribution(gen2, mu2)
-    n1, n2 = len(gen1.states), len(gen2.states)
-    mats1 = _fraction_matrices(gen1)
-    mats2 = _fraction_matrices(gen2)
-
-    def joint(v1: list[Fraction], v2: list[Fraction]) -> list[Fraction]:
-        return v1 + v2
-
-    def value(vec: list[Fraction]) -> Fraction:
-        return sum(vec[:n1], ZERO) - sum(vec[n1:], ZERO)
-
-    start1 = [mu1(x) for x in gen1.states]
-    start2 = [mu2(x) for x in gen2.states]
-    queue: list[list[Fraction]] = [joint(start1, start2)]
-    basis: list[tuple[int, list[Fraction]]] = []
-    while queue:
-        vec = queue.pop(0)
-        residual = _reduce_against(vec, basis)
-        pivot = next((j for j, v in enumerate(residual) if v), None)
-        if pivot is None:
-            continue
-        if value(vec) != 0:
-            return False
-        basis.append((pivot, residual))
-        for s in alphabet:
-            child1 = [
-                sum((vec[i] * mats1[s][i][j] for i in range(n1)), ZERO)
-                for j in range(n1)
-            ]
-            child2 = [
-                sum((vec[n1 + i] * mats2[s][i][j] for i in range(n2)), ZERO)
-                for j in range(n2)
-            ]
-            queue.append(joint(child1, child2))
-    return True
+    """Decide exactly whether the two processes agree on all finite words
+    (spanning-basis closure on the joint state space, Tzeng 1992)."""
+    return _first_difference(gen1, mu1, gen2, mu2)[0] is None
 
 
 def shortest_distinguishing_word(
     gen1: Generator, mu1: Distribution, gen2: Generator, mu2: Distribution
 ) -> Word | None:
-    """Breadth-first exhaustive search for the shortest word on which the
-    two processes disagree, up to length |Q1| + |Q2| (inequivalent processes
-    always disagree within that horizon).  Returns None when no word up to
-    the horizon distinguishes them.
+    """The length-lexicographically first shortest word on which the two
+    processes disagree, or None when they are equivalent.  Inequivalent
+    processes disagree within length |Q1| + |Q2|.
 
-    Exponential in the horizon; kept as the witness finder and as an
-    independent check of :func:`equivalent`.
+    Polynomial (Kiefer et al., LMCS 2013): the forward closure gives the
+    length L.  With eta the vector giving mass on the first machine minus
+    mass on the second, the backward layers B_r = span{M_w eta : |w| = r}
+    for r < L then guide a descent that extends the prefix u by the first
+    symbol s for which mu M_us is not annihilated by B_{L-|u|-1}.
     """
-    alphabet = _shared_alphabet(gen1, gen2)
-    _check_distribution(gen1, mu1)
-    _check_distribution(gen2, mu2)
-    horizon = len(gen1.states) + len(gen2.states)
-    d1, mats1 = _scaled_matrices(gen1)
-    d2, mats2 = _scaled_matrices(gen2)
-    md1, v1 = _scaled_initial(gen1, mu1)
-    md2, v2 = _scaled_initial(gen2, mu2)
-    index = {s: i for i, s in enumerate(alphabet)}
-    symbols = sorted(alphabet, key=lambda s: index[s])
-    level: list[tuple[Word, list[int], list[int]]] = [((), v1, v2)]
-    den1, den2 = md1, md2
-    if sum(v1) * den2 != sum(v2) * den1:
-        return ()
-    for _ in range(horizon):
-        den1 *= d1
-        den2 *= d2
-        next_level: list[tuple[Word, list[int], list[int]]] = []
-        for word, a, b in level:
-            for s in symbols:
-                a2 = _advance(a, mats1[s])
-                b2 = _advance(b, mats2[s])
-                if sum(a2) * den2 != sum(b2) * den1:
-                    return word + (s,)
-                next_level.append((word + (s,), a2, b2))
-        level = next_level
-    return None
+    length, vec, forward = _first_difference(gen1, mu1, gen2, mu2)
+    if length is None:
+        return None
+    n1, n = len(gen1.states), len(gen1.states) + len(gen2.states)
+    layers: list[Basis] = [[]]
+    _insert(layers[0], {j: 1 if j < n1 else -1 for j in range(n)})
+    back = _joint_rows((gen1, gen2), backward=True)
+    while len(layers) < length:
+        layer: Basis = []
+        for _, base in layers[-1]:
+            for mat in back.values():
+                _insert(layer, _apply(base, mat))
+        layers.append(layer)
+    word = []
+    for layer in reversed(layers[:length]):
+        for s, mat in forward.items():
+            child = _apply(vec, mat)
+            if any(sum(v * b.get(j, 0) for j, v in child.items()) for _, b in layer):
+                word.append(s)
+                vec = child
+                break
+    return tuple(word)
 
 
 def causal_state_partition(gen: Generator) -> Partition:
     """Group states whose point-mass initial distributions generate the same
-    observed process.
+    observed process; equal to pairwise process-equivalence testing.
 
-    Whether two states generate the same process depends only on how the
-    states evaluate against the closure of the all-ones vector under the
-    transposed per-symbol matrices (the vectors of word probabilities seen
-    from each state), so one basis computation classifies all states at
-    once.  The result equals pairwise process-equivalence testing of point
-    masses.
+    Two states generate the same process iff they agree on the closure of
+    the all-ones vector under the transposed per-symbol matrices (the
+    vectors of word probabilities seen from each state), so one basis of
+    it, whichever, classifies all states at once.
     """
-    n = len(gen.states)
-    mats = _fraction_matrices(gen)
-    basis: list[tuple[int, list[Fraction]]] = []
-    collected: list[list[Fraction]] = []
-    queue: list[list[Fraction]] = [[ONE] * n]
-    while queue:
-        vec = queue.pop(0)
-        residual = _reduce_against(vec, basis)
-        pivot = next((j for j, v in enumerate(residual) if v), None)
-        if pivot is None:
-            continue
-        basis.append((pivot, residual))
-        collected.append(vec)
-        for s in gen.alphabet:
-            mat = mats[s]
-            queue.append(
-                [sum((mat[i][j] * vec[j] for j in range(n)), ZERO) for i in range(n)]
-            )
-    signatures: dict[tuple[Fraction, ...], list[str]] = {}
+    rows = _joint_rows((gen,), backward=True)
+    basis = [vec for _, vec in _span({i: 1 for i in range(len(gen.states))}, rows)]
+    signatures: dict[tuple[int, ...], list[str]] = {}
     for i, x in enumerate(gen.states):
-        sig = tuple(vec[i] for vec in collected)
-        signatures.setdefault(sig, []).append(x)
+        signatures.setdefault(tuple(vec.get(i, 0) for vec in basis), []).append(x)
     return Partition(list(signatures.values()), gen.states)

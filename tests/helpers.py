@@ -112,6 +112,94 @@ def all_words(alphabet, max_len: int):
         yield from level
 
 
+def _step(gen: Generator, vec: dict[str, Fraction], symbol: str) -> dict[str, Fraction]:
+    out: dict[str, Fraction] = {}
+    for x, w in vec.items():
+        for (y, s), p in gen.kernel[x].items():
+            if s == symbol:
+                out[y] = out.get(y, ZERO) + w * p
+    return {y: w for y, w in out.items() if w}
+
+
+def bfs_distinguishing_word(
+    gen1: Generator, mu1: Distribution, gen2: Generator, mu2: Distribution
+):
+    """Oracle: the first word in length-lexicographic order, up to length
+    |Q1| + |Q2|, whose probabilities differ; None if there is none.
+
+    Exhaustive breadth-first search over state vectors, in Fractions.  Only
+    words with probability zero on both sides are dropped, since all their
+    extensions have probability zero too.
+    """
+    level = [((), dict(mu1.weights), dict(mu2.weights))]
+    for length in range(len(gen1.states) + len(gen2.states) + 1):
+        if length:
+            level = [
+                (word + (s,), _step(gen1, a, s), _step(gen2, b, s))
+                for word, a, b in level
+                for s in gen1.alphabet
+            ]
+            level = [entry for entry in level if entry[1] or entry[2]]
+        for word, a, b in level:
+            if sum(a.values(), ZERO) != sum(b.values(), ZERO):
+                return word
+    return None
+
+
+def marked_cycle(n: int) -> Generator:
+    """Deterministic n-cycle over a, b, c that emits b only on entering q0."""
+    states = state_names(n)
+    kernel = {
+        x: {(states[(i + 1) % n], "b" if (i + 1) % n == 0 else "a"): Fraction(1)}
+        for i, x in enumerate(states)
+    }
+    return Generator(states, symbol_names(3), kernel)
+
+
+def lift(rnd: random.Random, base: Generator, copies: int):
+    """Split every base state into ``copies`` states ``<x>_<k>`` that share
+    the base row, with random positive split weights.  Returns the lift and
+    the map from copies to base states; pushing a lifted distribution along
+    the map gives an equivalent base process."""
+    names = {x: [f"{x}_{k}" for k in range(copies)] for x in base.states}
+    split = {
+        x: [Fraction(c + 1, 12) for c in composition(rnd, 12 - copies, copies)]
+        for x in base.states
+    }
+    kernel = {}
+    for x in base.states:
+        row = {
+            (names[y][k], s): p * split[y][k]
+            for (y, s), p in base.kernel[x].items()
+            for k in range(copies)
+        }
+        for c in names[x]:
+            kernel[c] = dict(row)
+    quotient = {c: x for x in base.states for c in names[x]}
+    return Generator(list(quotient), base.alphabet, kernel), quotient
+
+
+def perturb(rnd: random.Random, gen: Generator, quotient: dict[str, str]):
+    """Move a third of one transition's mass, in one state's row, to a copy
+    of a different base state behind the same symbol.  The lift stays
+    stochastic but usually stops being a lift; None if no row allows it."""
+    choices = [
+        (x, y, s, z)
+        for x in gen.states
+        for (y, s) in gen.kernel[x]
+        for z in gen.states
+        if quotient[z] != quotient[y]
+    ]
+    if not choices:
+        return None
+    x, y, s, z = rnd.choice(choices)
+    kernel = {w: dict(row) for w, row in gen.kernel.items()}
+    moved = kernel[x][(y, s)] / 3
+    kernel[x][(y, s)] -= moved
+    kernel[x][(z, s)] = kernel[x].get((z, s), ZERO) + moved
+    return Generator(gen.states, gen.alphabet, kernel)
+
+
 def label_sequence_partition(dg: DeterministicGenerator, depth: int) -> Partition:
     """Oracle: group states by their emitted label sequence to ``depth``."""
     groups: dict[tuple, list[str]] = {}

@@ -19,6 +19,15 @@ def fixture_file(tmp_path):
     return write
 
 
+def assert_usage_error(code: int, capsys) -> str:
+    """Exit 2 with one line on stderr and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
 class TestValidateCommand:
     def test_valid_file(self, fixture_file, capsys):
         assert run(["validate", fixture_file("golden-mean")]) == 0
@@ -119,6 +128,19 @@ class TestReduceCommand:
         ])
         assert code == 2
 
+    def test_unwritable_out_is_usage_error(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.json"
+        code = run(["reduce", fixture_file("golden-mean"), "--out", str(out)])
+        assert "cannot write" in assert_usage_error(code, capsys)
+
+    def test_unwritable_dot_is_usage_error(self, fixture_file, tmp_path, capsys):
+        dot = tmp_path / "absent" / "x.dot"
+        code = run([
+            "reduce", fixture_file("golden-mean"),
+            "--out", str(tmp_path / "ok.json"), "--dot", str(dot),
+        ])
+        assert "cannot write" in assert_usage_error(code, capsys)
+
     def test_state_mode(self, fixture_file, capsys):
         assert run(["reduce", fixture_file("golden-mean-redundant"), "--mode", "state"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -172,6 +194,23 @@ class TestWordsCommand:
         assert run(["words", fixture_file("randomness-2"), "--max-len", "4"]) == 1
         monkeypatch.setenv("GENRED_SIZE_LIMIT", "100")
         assert run(["words", fixture_file("randomness-2"), "--max-len", "4"]) == 0
+
+
+    def test_negative_max_len_is_usage_error(self, fixture_file, capsys):
+        code = run(["words", fixture_file("golden-mean"), "--max-len", "-1"])
+        assert "--max-len" in assert_usage_error(code, capsys)
+
+    def test_negative_size_limit_is_usage_error(self, fixture_file, capsys):
+        code = run(["words", fixture_file("golden-mean"), "--max-len", "1",
+                    "--size-limit", "-5"])
+        assert "--size-limit" in assert_usage_error(code, capsys)
+
+    def test_negative_size_limit_env_is_usage_error(
+        self, fixture_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("GENRED_SIZE_LIMIT", "-5")
+        code = run(["words", fixture_file("golden-mean"), "--max-len", "1"])
+        assert "GENRED_SIZE_LIMIT" in assert_usage_error(code, capsys)
 
 
 class TestEquivCommand:
@@ -260,6 +299,10 @@ class TestSampleCommand:
     def test_zero_length(self, fixture_file, capsys):
         assert run(["sample", fixture_file("randomness-2"), "--n", "0"]) == 0
         assert capsys.readouterr().out == "\n"
+
+    def test_negative_length_is_usage_error(self, fixture_file, capsys):
+        code = run(["sample", fixture_file("randomness-2"), "--n", "-1"])
+        assert "--n" in assert_usage_error(code, capsys)
 
     def test_different_seeds_differ(self, fixture_file, capsys):
         path = fixture_file("randomness-2")
