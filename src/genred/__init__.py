@@ -57,7 +57,6 @@ from .process import (
 from .reduce import (
     EventReducedGenerator,
     ReductionResult,
-    coarsest_partition_oracle,
     event_reduction,
     minimal_reduction,
     sigma_observation_partition,
@@ -95,7 +94,6 @@ __all__ = [
     "catalog",
     "causal_state_partition",
     "check_transport",
-    "coarsest_partition_oracle",
     "complete_randomness",
     "compose",
     "delta",

@@ -97,10 +97,8 @@ def rational_rotation(q: int, p: int) -> tuple[CircleModel, DeterministicGenerat
     if rotated != set(breakpoints):
         raise AssertionError("rotation must permute the breakpoint set")
     names = model.arc_names
-    f = {
-        names[i]: names[model.arc_containing(lo + step)]
-        for i, (lo, _) in enumerate(arcs)
-    }
+    starting_at = {lo: name for name, (lo, _) in zip(names, arcs)}
+    f = {name: starting_at[(lo + step) % 1] for name, (lo, _) in zip(names, arcs)}
     g = dict(zip(names, labels))
     machine = DeterministicGenerator(names, ("1", "2"), f, g)
     return model, machine

@@ -53,9 +53,9 @@ def _tolerance(args: argparse.Namespace) -> Fraction | None:
     if raw is None:
         return None
     try:
-        value = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise _CommandFailure(2, f"bad tolerance {raw!r}")
+        value = parse_prob(raw)
+    except FileFormatError as exc:
+        raise _CommandFailure(2, f"--tolerance: {exc}")
     if value < 0:
         raise _CommandFailure(2, "tolerance must be >= 0")
     return value
@@ -229,7 +229,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
         spec = name[len("rotation:"):]
         try:
             angle = Fraction(spec)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
+            raise _CommandFailure(2, f"bad rotation {name!r}: zero denominator")
+        except ValueError:
             raise _CommandFailure(
                 1,
                 f"cannot build {name!r}: only rational rotations are supported; "

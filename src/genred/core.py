@@ -113,6 +113,14 @@ class Generator:
     def row_sum(self, x: str) -> Fraction:
         return sum(self.row(x).values(), ZERO)
 
+    def ordered_row(self, x: str) -> list[tuple[tuple[str, str], Fraction]]:
+        """Kernel entries of ``x`` ordered by target state index, then
+        symbol index: the canonical order of every emitted transition."""
+        return sorted(
+            self.kernel[x].items(),
+            key=lambda e: (self.state_index[e[0][0]], self.symbol_index[e[0][1]]),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Generator):
             return NotImplemented
@@ -376,6 +384,21 @@ def delta(gen: Generator, x: str) -> Distribution:
     if x not in gen.state_index:
         raise UnknownStateError(f"unknown state {x!r}")
     return Distribution.point(x)
+
+
+def image(
+    row: Mapping[tuple[str, str], Fraction],
+    f: Mapping[str, object],
+    g: Mapping[str, str] | None = None,
+) -> dict[tuple, Fraction]:
+    """Push a kernel row through a state map ``f`` and a symbol map ``g``
+    (the identity when None): the mass of ``(f[y], g[s])`` is the total mass
+    of its preimage entries."""
+    out: dict[tuple, Fraction] = {}
+    for (y, s), p in row.items():
+        key = (f[y], s if g is None else g[s])
+        out[key] = out.get(key, ZERO) + p
+    return out
 
 
 def pushforward(d: Distribution, f: Mapping[str, str]) -> Distribution:

@@ -12,6 +12,7 @@ to one; rows further off still fail validation.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -21,11 +22,22 @@ from .process import Word, WordTable
 
 FORMAT_VERSION = 1
 
+# Fraction("1e-4000000") alone takes seconds: bound the digits of an exponent.
+MAX_EXPONENT_DIGITS = 3
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]*)")
+
 
 def parse_prob(text: Any) -> Fraction:
-    """Exact probability from its file representation (a string)."""
+    """Exact probability from its file representation (a string).  Decimal
+    exponents are limited to :data:`MAX_EXPONENT_DIGITS` digits."""
     if not isinstance(text, str):
         raise FileFormatError(f"probability must be a string, got {text!r}")
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent.group(1)) > MAX_EXPONENT_DIGITS:
+        raise FileFormatError(
+            f"bad probability {text[:40]!r}: exponent longer than "
+            f"{MAX_EXPONENT_DIGITS} digits"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -116,14 +128,9 @@ def generator_document(
     target state index, then symbol index, probabilities as "n/d"."""
     transitions = []
     for x in gen.states:
-        row = gen.kernel[x]
-        ordered = sorted(
-            row,
-            key=lambda ys: (gen.state_index[ys[0]], gen.symbol_index[ys[1]]),
-        )
-        for (y, s) in ordered:
+        for (y, s), p in gen.ordered_row(x):
             transitions.append(
-                {"from": x, "to": y, "symbol": s, "prob": fraction_str(row[(y, s)])}
+                {"from": x, "to": y, "symbol": s, "prob": fraction_str(p)}
             )
     doc: dict = {
         "format_version": FORMAT_VERSION,
@@ -179,13 +186,8 @@ def dump_dot(gen: Generator) -> str:
     for x in gen.states:
         lines.append(f"  {quote(x)} [shape=circle];")
     for x in gen.states:
-        row = gen.kernel[x]
-        ordered = sorted(
-            row,
-            key=lambda ys: (gen.state_index[ys[0]], gen.symbol_index[ys[1]]),
-        )
-        for (y, s) in ordered:
-            label = f"{s} : {fraction_str(row[(y, s)])}"
+        for (y, s), p in gen.ordered_row(x):
+            label = f"{s} : {fraction_str(p)}"
             lines.append(f"  {quote(x)} -> {quote(y)} [label={quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

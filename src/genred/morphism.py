@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .core import ZERO, Distribution, Generator, pushforward
+from .core import ZERO, Distribution, Generator, image, pushforward
 from .errors import (
     ChainMismatchError,
     NotTransitionPreservingError,
@@ -71,10 +71,7 @@ def verify(m: Morphism) -> tuple[bool, Witness | None]:
     """
     src, tgt = m.source, m.target
     for x in src.states:
-        pulled: dict[tuple[str, str], Fraction] = {}
-        for (y1, s1), p in src.kernel[x].items():
-            key = (m.f[y1], m.g[s1])
-            pulled[key] = pulled.get(key, ZERO) + p
+        pulled = image(src.kernel[x], m.f, m.g)
         fx_row = tgt.kernel[m.f[x]]
         for y2 in tgt.states:
             for s2 in tgt.alphabet:
@@ -114,13 +111,8 @@ def relabel_outputs(
         missing = [g[s] for s in gen.alphabet if g[s] not in alphabet]
         if missing:
             raise UnknownSymbolError(f"image symbols {missing} not in alphabet")
-    kernel: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for x in gen.states:
-        row: dict[tuple[str, str], Fraction] = {}
-        for (y, s), p in gen.kernel[x].items():
-            key = (y, g[s])
-            row[key] = row.get(key, ZERO) + p
-        kernel[x] = row
+    same = {x: x for x in gen.states}
+    kernel = {x: image(gen.kernel[x], same, g) for x in gen.states}
     return Generator(gen.states, alphabet, kernel)
 
 

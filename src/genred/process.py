@@ -184,13 +184,12 @@ def sample(
     support = [x for x in gen.states if mu(x) != 0]
     state = rng.choose(support, [mu(x) for x in support])
     emitted: list[str] = []
+    ordered: dict[str, tuple[list, list]] = {}  # state -> (pairs, weights)
     for _ in range(n):
-        row = gen.kernel[state]
-        pairs = sorted(
-            row,
-            key=lambda ys: (gen.state_index[ys[0]], gen.symbol_index[ys[1]]),
-        )
-        state, symbol = rng.choose(pairs, [row[p] for p in pairs])
+        if state not in ordered:
+            row = gen.ordered_row(state)
+            ordered[state] = ([ys for ys, _ in row], [p for _, p in row])
+        state, symbol = rng.choose(*ordered[state])
         emitted.append(symbol)
     return tuple(emitted), state
 

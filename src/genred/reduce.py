@@ -11,7 +11,7 @@ Two reductions compose into the minimal one:
 
 Over a finite state set the coarsest stable partition is unique: stable
 partitions are closed under finest common coarsening, which is what the
-exhaustive :func:`coarsest_partition_oracle` re-derives independently.
+exhaustive all-partitions oracle in the tests re-derives independently.
 
 Unreachable states are never pruned: the reductions must preserve the
 processes generated from EVERY initial distribution, and those see every
@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .core import ZERO, DeterministicGenerator, Generator, Partition
-from .errors import SizeLimitError
+from .core import DeterministicGenerator, Generator, Partition, from_deterministic, image
 
 ReducedRow = Mapping[tuple[int, str], Fraction]
-
-ORACLE_MAX_STATES = 8
 
 
 def class_name(block: Sequence[str]) -> str:
@@ -85,76 +82,56 @@ class ReductionResult:
     quotient_map: Mapping[str, str]
 
 
-def _reduced_row(
-    gen: Generator, x: str, blocks: Sequence[Sequence[str]], block_of: Mapping[str, int]
-) -> dict[tuple[int, str], Fraction]:
-    row: dict[tuple[int, str], Fraction] = {}
-    for (y, s), p in gen.kernel[x].items():
-        key = (block_of[y], s)
-        row[key] = row.get(key, ZERO) + p
-    return row
+def _classes(states: Sequence[str], rows: Mapping[str, Mapping]) -> list[list[str]]:
+    """Group the states with equal rows, groups in order of first
+    appearance (the canonical block order of :class:`Partition`)."""
+    groups: dict[tuple, list[str]] = {}
+    for x in states:
+        groups.setdefault(tuple(sorted(rows[x].items())), []).append(x)
+    return list(groups.values())
 
 
 def event_reduction(gen: Generator) -> EventReducedGenerator:
     """Coarsest stable partition by refinement.
 
-    Start from the one-block partition and repeatedly split any block whose
-    members disagree on the signature (mass into each current block per
-    symbol), until a fixpoint; at most |Q| rounds.  A split never separates
-    two states that the coarsest stable partition keeps together (their
-    signature entries are sums of stable block masses, which agree), so
-    every block remains a union of that partition's blocks and the fixpoint,
-    being itself stable, is exactly the coarsest stable partition.
+    Start from the one-block partition and repeatedly regroup the states by
+    their signature (mass into each current block per symbol), until a
+    fixpoint; at most |Q| rounds.  Each round refines the last (by induction:
+    masses into the old blocks are sums of masses into the new ones), and a
+    split never separates two states that the coarsest stable partition
+    keeps together (their signature entries are sums of stable block masses,
+    which agree), so every block remains a union of that partition's blocks
+    and the fixpoint, being itself stable, is exactly the coarsest stable
+    partition.  Blocks are numbered canonically in every round, so the
+    fixpoint's signatures are the reduced kernel.
     """
-    blocks: list[tuple[str, ...]] = [tuple(gen.states)]
+    blocks = [list(gen.states)]
     while True:
-        block_of = {x: i for i, b in enumerate(blocks) for x in b}
-        rows = {x: _reduced_row(gen, x, blocks, block_of) for x in gen.states}
-        new_blocks: list[tuple[str, ...]] = []
-        for block in blocks:
-            groups: dict[tuple, list[str]] = {}
-            for x in block:
-                sig = tuple(sorted(rows[x].items()))
-                groups.setdefault(sig, []).append(x)
-            new_blocks.extend(tuple(g) for g in groups.values())
-        if len(new_blocks) == len(blocks):
-            partition = Partition(blocks, gen.states)
-            canonical_of = {x: partition.block_index(x) for x in gen.states}
-            final_rows = {
-                x: _reduced_row(gen, x, partition.blocks, canonical_of)
-                for x in gen.states
-            }
-            return EventReducedGenerator(gen, partition, final_rows)
-        blocks = new_blocks
+        block_of = {x: i for i, block in enumerate(blocks) for x in block}
+        rows = {x: image(gen.kernel[x], block_of) for x in gen.states}
+        refined = _classes(gen.states, rows)
+        if len(refined) == len(blocks):
+            return EventReducedGenerator(gen, Partition(blocks, gen.states), rows)
+        blocks = refined
 
 
 def sigma_observation_partition(dg: DeterministicGenerator) -> Partition:
     """Partition of a deterministic machine's states by their forward
-    observation sequences (g(f(x)), g(f(f(x))), ...).
+    observation sequences (g(f(x)), g(f(f(x))), ...): the event partition of
+    the machine's kernel form, which moves from x to f(x) emitting g(f(x))."""
+    return event_reduction(from_deterministic(dg)).partition
 
-    Sequences are refined over increasing depth until two consecutive depths
-    give the same partition, which happens within |Q| steps; the result
-    coincides with the event partition of the machine's kernel form.
-    """
-    current = {x: dg.f[x] for x in dg.states}
-    labels: dict[str, list[str]] = {x: [dg.g[current[x]]] for x in dg.states}
 
-    def group() -> tuple[tuple[str, ...], ...]:
-        buckets: dict[tuple[str, ...], list[str]] = {}
-        for x in dg.states:
-            buckets.setdefault(tuple(labels[x]), []).append(x)
-        return Partition(list(buckets.values()), dg.states).blocks
-
-    previous = group()
-    for _ in range(len(dg.states)):
-        current = {x: dg.f[current[x]] for x in dg.states}
-        for x in dg.states:
-            labels[x].append(dg.g[current[x]])
-        refined = group()
-        if refined == previous:
-            return Partition(previous, dg.states)
-        previous = refined
-    return Partition(previous, dg.states)
+def _quotient(gen: Generator, partition: Partition) -> ReductionResult:
+    """Merge each block into one state named by :func:`class_name`, whose
+    row is its first member's row pushed through the quotient map."""
+    names = [class_name(block) for block in partition.blocks]
+    quotient = {x: names[partition.block_index(x)] for x in gen.states}
+    kernel = {
+        name: image(gen.kernel[block[0]], quotient)
+        for name, block in zip(names, partition.blocks)
+    }
+    return ReductionResult(Generator(names, gen.alphabet, kernel), quotient)
 
 
 def state_reduction(gen: Generator) -> ReductionResult:
@@ -164,22 +141,7 @@ def state_reduction(gen: Generator) -> ReductionResult:
     the merged row sends mass sum over y' in [y] of T(x, (y', s)) to
     ([y], s).
     """
-    groups: dict[tuple, list[str]] = {}
-    for x in gen.states:
-        sig = tuple(sorted(gen.kernel[x].items()))
-        groups.setdefault(sig, []).append(x)
-    classes = Partition(list(groups.values()), gen.states)
-    names = [class_name(block) for block in classes.blocks]
-    quotient = {x: names[classes.block_index(x)] for x in gen.states}
-    kernel: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for i, block in enumerate(classes.blocks):
-        row: dict[tuple[str, str], Fraction] = {}
-        for (y, s), p in gen.kernel[block[0]].items():
-            key = (quotient[y], s)
-            row[key] = row.get(key, ZERO) + p
-        kernel[names[i]] = row
-    reduced = Generator(names, gen.alphabet, kernel)
-    return ReductionResult(reduced=reduced, quotient_map=quotient)
+    return _quotient(gen, Partition(_classes(gen.states, gen.kernel), gen.states))
 
 
 def state_reduction_reduced(erg: EventReducedGenerator) -> ReductionResult:
@@ -188,27 +150,9 @@ def state_reduction_reduced(erg: EventReducedGenerator) -> ReductionResult:
     states are the classes.
 
     Because the partition is coarsest, distinct blocks always carry distinct
-    rows, so the classes coincide with the partition blocks; this is
-    asserted, and a failure would mean the refinement is broken.
+    rows, so the classes are exactly the partition blocks.
     """
-    gen = erg.base
-    groups: dict[tuple, list[str]] = {}
-    for x in gen.states:
-        sig = tuple(sorted(erg.reduced_kernel[x].items()))
-        groups.setdefault(sig, []).append(x)
-    classes = Partition(list(groups.values()), gen.states)
-    assert classes == erg.partition, (
-        "row-equality classes over the event partition must equal its blocks"
-    )
-    names = [class_name(block) for block in classes.blocks]
-    quotient = {x: names[classes.block_index(x)] for x in gen.states}
-    kernel: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for i, block in enumerate(classes.blocks):
-        kernel[names[i]] = {
-            (names[j], s): p for (j, s), p in erg.reduced_kernel[block[0]].items()
-        }
-    reduced = Generator(names, gen.alphabet, kernel)
-    return ReductionResult(reduced=reduced, quotient_map=quotient)
+    return _quotient(erg.base, erg.partition)
 
 
 def minimal_reduction(gen: Generator) -> tuple[ReductionResult, EventReducedGenerator]:
@@ -220,51 +164,3 @@ def minimal_reduction(gen: Generator) -> tuple[ReductionResult, EventReducedGene
     """
     erg = event_reduction(gen)
     return state_reduction_reduced(erg), erg
-
-
-def _set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    """All set partitions, by recursive insertion (Bell-number many)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
-def _is_stable(gen: Generator, blocks: Sequence[Sequence[str]]) -> bool:
-    block_of = {x: i for i, b in enumerate(blocks) for x in b}
-    for block in blocks:
-        rows = [
-            tuple(sorted(_reduced_row(gen, x, blocks, block_of).items()))
-            for x in block
-        ]
-        if any(r != rows[0] for r in rows[1:]):
-            return False
-    return True
-
-
-def coarsest_partition_oracle(gen: Generator) -> Partition:
-    """Independent check of :func:`event_reduction` by brute force.
-
-    Enumerates every partition of the state set, keeps the stable ones, and
-    returns the unique one that every other stable partition refines (the
-    singleton partition is always stable, so the family is nonempty;
-    closure under finest common coarsening guarantees the coarsest element
-    exists, and this is asserted rather than assumed).
-    """
-    if len(gen.states) > ORACLE_MAX_STATES:
-        raise SizeLimitError(
-            f"oracle enumerates all partitions; limited to {ORACLE_MAX_STATES} states"
-        )
-    stable = [
-        Partition(blocks, gen.states)
-        for blocks in _set_partitions(list(gen.states))
-        if _is_stable(gen, blocks)
-    ]
-    coarsest = min(stable, key=len)
-    witnesses = [p for p in stable if all(q.refines(p) for q in stable)]
-    assert witnesses == [coarsest], "stable partitions must have a unique coarsest"
-    return coarsest

@@ -17,9 +17,11 @@ from genred import (
     Generator,
     Morphism,
     Partition,
+    SizeLimitError,
 )
 
 ZERO = Fraction(0)
+ORACLE_MAX_STATES = 8
 
 
 def composition(rnd: random.Random, total: int, parts: int) -> list[int]:
@@ -211,6 +213,59 @@ def label_sequence_partition(dg: DeterministicGenerator, depth: int) -> Partitio
             labels.append(dg.g[y])
         groups.setdefault(tuple(labels), []).append(x)
     return Partition(list(groups.values()), dg.states)
+
+
+def _set_partitions(items):
+    """All set partitions, by recursive insertion (Bell-number many)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield [[first]] + sub
+
+
+def _is_stable(gen: Generator, blocks) -> bool:
+    """Every block's members agree on the mass into each (block, symbol)."""
+    block_of = {x: i for i, b in enumerate(blocks) for x in b}
+
+    def masses(x):
+        out = {}
+        for (y, s), p in gen.kernel[x].items():
+            out[block_of[y], s] = out.get((block_of[y], s), ZERO) + p
+        return out
+
+    for block in blocks:
+        first = masses(block[0])
+        if any(masses(x) != first for x in block[1:]):
+            return False
+    return True
+
+
+def coarsest_partition_oracle(gen: Generator) -> Partition:
+    """Oracle for :func:`genred.event_reduction` by brute force.
+
+    Enumerates every partition of the state set, keeps the stable ones, and
+    returns the unique one that every other stable partition refines (the
+    singleton partition is always stable, so the family is nonempty;
+    closure under finest common coarsening guarantees the coarsest element
+    exists, and this is asserted rather than assumed).
+    """
+    if len(gen.states) > ORACLE_MAX_STATES:
+        raise SizeLimitError(
+            f"oracle enumerates all partitions; limited to {ORACLE_MAX_STATES} states"
+        )
+    stable = [
+        Partition(blocks, gen.states)
+        for blocks in _set_partitions(list(gen.states))
+        if _is_stable(gen, blocks)
+    ]
+    coarsest = min(stable, key=len)
+    witnesses = [p for p in stable if all(q.refines(p) for q in stable)]
+    assert witnesses == [coarsest], "stable partitions must have a unique coarsest"
+    return coarsest
 
 
 def rotation_breakpoints(q: int, p: int) -> set[Fraction]:

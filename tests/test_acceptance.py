@@ -13,7 +13,6 @@ from genred import (
     catalog,
     causal_state_partition,
     check_transport,
-    coarsest_partition_oracle,
     equivalent,
     event_reduction,
     from_deterministic,
@@ -29,6 +28,8 @@ from genred.cli import run
 from genred.core import Partition
 from genred.formats import dump_generator, parse_generator_text
 from helpers import (
+    coarsest_partition_oracle,
+    label_sequence_partition,
     random_deterministic,
     random_distribution,
     random_generator,
@@ -108,9 +109,9 @@ def test_criterion_02_rational_rotation_arcs_and_discreteness():
 def test_criterion_03_observation_partition_equals_event_partition():
     with _timed(3, 30.0, "sigma-observation partition = event partition, 200 machines"):
         for dg in _suite3_machines():
-            assert sigma_observation_partition(dg) == event_reduction(
-                from_deterministic(dg)
-            ).partition
+            observed = sigma_observation_partition(dg)
+            assert observed == event_reduction(from_deterministic(dg)).partition
+            assert observed == label_sequence_partition(dg, len(dg.states))
 
 
 def test_criterion_04_minimal_reduction_preserves_word_tables():

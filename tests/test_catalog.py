@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -102,6 +103,18 @@ class TestRationalRotation:
             assert len(result.reduced.states) == len(gen.states)
             values = list(result.quotient_map.values())
             assert len(set(values)) == len(values)
+
+    def test_large_denominator_successors(self):
+        # a linear scan for each successor would make this quadratic in p
+        start = time.perf_counter()
+        model, machine = rational_rotation(7, 4001)
+        assert time.perf_counter() - start < 5.0
+        assert len(machine.states) == 8002
+        assert sorted(machine.f.values()) == sorted(machine.states)
+        names = model.arc_names
+        for i in range(0, len(names), 800):
+            successor = model.arc_containing(model.arcs[i][0] + model.rotation)
+            assert machine.f[names[i]] == names[successor]
 
     def test_not_coprime_rejected(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,20 @@ class TestWordsCommand:
         assert run(["words", fixture_file("golden-mean"), "--max-len", "1",
                     "--initial", "nope"]) == 2
 
+    def test_long_exponent_initial_is_one_line(self, fixture_file, capsys):
+        path = fixture_file("golden-mean")
+        code = run(["words", path, "--max-len", "2", "--initial", '{"A": "1e-99999"}'])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "exponent longer than 3 digits" in captured.err
+
+    def test_long_exponent_tolerance_is_usage_error(self, fixture_file, capsys):
+        path = fixture_file("golden-mean")
+        code = run(["words", path, "--max-len", "2", "--tolerance", "1e-99999"])
+        assert "exponent" in assert_usage_error(code, capsys)
+
     def test_size_limit_flag(self, fixture_file):
         assert run(["words", fixture_file("randomness-2"), "--max-len", "4",
                     "--size-limit", "10"]) == 1
@@ -282,6 +296,10 @@ class TestExampleCommand:
         assert run(["example", "rotation:sqrt2"]) == 1
         err = capsys.readouterr().err
         assert "no finite internal-event reduction" in err
+
+    def test_zero_denominator_rotation_is_usage_error(self, capsys):
+        code = run(["example", "rotation:1/0"])
+        assert "zero denominator" in assert_usage_error(code, capsys)
 
     def test_unknown_fixture(self, capsys):
         assert run(["example", "nonesuch"]) == 1

@@ -124,6 +124,23 @@ class TestParsing:
         gen2, _ = parse_generator_text(text)
         assert gen2 == result.reduced
 
+    def test_long_exponents_rejected(self):
+        assert parse_prob("1e-999") == Fraction(1, 10**999)
+        assert parse_prob("2.5E+3") == 2500
+        for text in ("1e-1000", "1e-4000000", "0.5e0001", "1E+99999"):
+            with pytest.raises(FileFormatError, match="exponent longer than 3 digits"):
+                parse_prob(text)
+
+    def test_long_exponent_in_file_rejected(self):
+        doc = minimal_doc(
+            transitions=[{"from": "q", "to": "q", "symbol": "h", "prob": "1e-4000000"}]
+        )
+        with pytest.raises(FileFormatError, match="exponent"):
+            parse_generator_text(json.dumps(doc))
+        doc = minimal_doc(initial={"q": "1e-99999"})
+        with pytest.raises(FileFormatError, match="exponent"):
+            parse_generator_text(json.dumps(doc))
+
     def test_parse_prob_forms(self):
         assert parse_prob("1/2") == Fraction(1, 2)
         assert parse_prob("0.125") == Fraction(1, 8)
@@ -243,3 +260,18 @@ class TestJsonSchema:
         )
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
+
+    def test_schema_bounds_exponents_like_the_parser(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        for prob, ok in (("1e-999", True), (".5E+3", True), ("1e-1000", False),
+                         ("0.5e0001", False), ("1.e99999", False)):
+            doc = minimal_doc(initial={"q": prob})
+            if ok:
+                jsonschema.validate(doc, schema)
+                parse_prob(prob)
+            else:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(doc, schema)
+                with pytest.raises(FileFormatError):
+                    parse_prob(prob)

@@ -11,7 +11,6 @@ from genred import (
     Partition,
     SizeLimitError,
     catalog,
-    coarsest_partition_oracle,
     complete_randomness,
     event_reduction,
     from_deterministic,
@@ -28,6 +27,7 @@ from genred import (
 from genred.catalog import arc_length_distribution
 from genred.core import DeterministicGenerator
 from helpers import (
+    coarsest_partition_oracle,
     label_sequence_partition,
     random_deterministic,
     random_distribution,
