@@ -21,6 +21,7 @@ from .formats import (
     dump_dot,
     dump_generator,
     dump_word_table,
+    oversized,
     parse_generator_text,
     parse_prob,
     word_name,
@@ -37,6 +38,8 @@ from .process import (
 from .reduce import event_reduction, minimal_reduction, state_reduction
 
 SIZE_LIMIT_ENV = "GENRED_SIZE_LIMIT"
+# A rotation by q/p has up to 2p arcs; p = 5999 takes about a second.
+MAX_ROTATION_DENOMINATOR = 6000
 
 
 class _CommandFailure(Exception):
@@ -227,18 +230,27 @@ def _cmd_example(args: argparse.Namespace) -> int:
     name = args.name
     if name.startswith("rotation:"):
         spec = name[len("rotation:"):]
+        reason = oversized(spec)
+        if reason is not None:
+            raise _CommandFailure(2, f"bad rotation {name[:40]!r}: {reason}")
         try:
             angle = Fraction(spec)
         except ZeroDivisionError:
-            raise _CommandFailure(2, f"bad rotation {name!r}: zero denominator")
+            raise _CommandFailure(2, f"bad rotation {name[:40]!r}: zero denominator")
         except ValueError:
             raise _CommandFailure(
                 1,
-                f"cannot build {name!r}: only rational rotations are supported; "
+                f"cannot build {name[:40]!r}: only rational rotations are supported; "
                 "an irrational angle keeps infinitely many distinguishable arc "
                 "events, so no finite internal-event reduction exists",
             )
         angle %= 1
+        if angle.denominator > MAX_ROTATION_DENOMINATOR:
+            raise _CommandFailure(
+                2,
+                f"bad rotation {name[:40]!r}: denominator over "
+                f"{MAX_ROTATION_DENOMINATOR}",
+            )
         model, machine = rational_rotation(angle.numerator, angle.denominator)
         gen = from_deterministic(machine)
         sys.stdout.write(dump_generator(gen, arc_length_distribution(model)))
@@ -316,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_causal)
 
     p = sub.add_parser("example", help="emit a named fixture or rotation:q/p")
-    p.add_argument("name", help=f"one of {', '.join(FIXTURE_NAMES)}, or rotation:q/p")
+    p.add_argument("name", help=f"one of {', '.join(FIXTURE_NAMES)}, or rotation:q/p "
+                   f"with p <= {MAX_ROTATION_DENOMINATOR}")
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("sample", help="emit a seeded sample run")

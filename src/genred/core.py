@@ -20,6 +20,7 @@ pure functions; instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
 )
 
 RatLike = Fraction | int | str
+Rows = list[list[tuple[int, int]]]  # per-index lists of (index, entry)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -397,8 +399,29 @@ def image(
     out: dict[tuple, Fraction] = {}
     for (y, s), p in row.items():
         key = (f[y], s if g is None else g[s])
-        out[key] = out.get(key, ZERO) + p
+        out[key] = out[key] + p if key in out else p
     return out
+
+
+def joint_rows(gens: tuple[Generator, ...], backward: bool) -> dict[str, Rows]:
+    """Sparse per-symbol integer rows of the block-diagonal kernel on the
+    concatenated state spaces, over one common denominator D: the one
+    integer-scaled form of a kernel.  Forward rows give ``v M_s``
+    (``rows[s][i]`` lists ``(j, D*M_s[i][j])``); backward rows, the
+    transpose, give ``M_s v``."""
+    common = lcm(*(p.denominator for g in gens for row in g.kernel.values()
+                   for p in row.values()))
+    rows = {s: [[] for _ in range(sum(len(g.states) for g in gens))] for s in gens[0].alphabet}
+    offset = 0
+    for g in gens:
+        for x, row in g.kernel.items():
+            for (y, s), p in row.items():
+                i, j = offset + g.state_index[x], offset + g.state_index[y]
+                if backward:
+                    i, j = j, i
+                rows[s][i].append((j, p.numerator * (common // p.denominator)))
+        offset += len(g.states)
+    return rows
 
 
 def pushforward(d: Distribution, f: Mapping[str, str]) -> Distribution:

@@ -24,24 +24,51 @@ FORMAT_VERSION = 1
 
 # Fraction("1e-4000000") alone takes seconds: bound the digits of an exponent.
 MAX_EXPONENT_DIGITS = 3
+# Python's default cap on an int conversion; bounded here so that the
+# message is one short line rather than Python's hint with the input echoed.
+MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][+-]?([\d_]*)")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
+
+def oversized(text: str) -> str | None:
+    """Why ``Fraction(text)`` would be too large to build, or None: an
+    exponent over :data:`MAX_EXPONENT_DIGITS` digits, or a run of more than
+    :data:`MAX_DIGITS` digits."""
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent.group(1)) > MAX_EXPONENT_DIGITS:
+        return f"exponent longer than {MAX_EXPONENT_DIGITS} digits"
+    if len(text) > MAX_DIGITS and any(
+        len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(text)
+    ):
+        return f"more than {MAX_DIGITS} digits"
+    return None
 
 
 def parse_prob(text: Any) -> Fraction:
-    """Exact probability from its file representation (a string).  Decimal
-    exponents are limited to :data:`MAX_EXPONENT_DIGITS` digits."""
+    """Exact probability from its file representation (a string).  Sizes
+    are bounded by :func:`oversized`; error messages echo at most 40
+    characters of the input."""
     if not isinstance(text, str):
         raise FileFormatError(f"probability must be a string, got {text!r}")
-    exponent = _EXPONENT.search(text)
-    if exponent and len(exponent.group(1)) > MAX_EXPONENT_DIGITS:
-        raise FileFormatError(
-            f"bad probability {text[:40]!r}: exponent longer than "
-            f"{MAX_EXPONENT_DIGITS} digits"
-        )
+    reason = oversized(text)
+    if reason is None:
+        try:
+            return Fraction(text)
+        except ValueError:
+            reason = "not an integer, n/d or decimal"
+        except ZeroDivisionError:
+            reason = "zero denominator"
+    raise FileFormatError(f"bad probability {text[:40]!r}: {reason}")
+
+
+def _load_json(text: str) -> Any:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FileFormatError(f"bad probability {text!r}: {exc}") from None
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"invalid JSON: {exc}") from None
+    except ValueError:  # a JSON number too long for Python's int conversion
+        raise FileFormatError(f"invalid JSON: a number over {MAX_DIGITS} digits") from None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -112,10 +139,7 @@ def parse_generator_document(
 def parse_generator_text(
     text: str, tolerance: Fraction | None = None
 ) -> tuple[Generator, dict[str, Fraction] | None]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     return parse_generator_document(doc, tolerance)
 
 
@@ -205,10 +229,7 @@ def parse_morphism_text(text: str) -> tuple[dict[str, str], dict[str, str]]:
     """Decode the morphism JSON `{"f": {..}, "g": {..}}`; the maps are
     returned raw and validated against concrete generators when a
     :class:`genred.morphism.Morphism` is built from them."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     _require(isinstance(doc, dict) and set(doc) == {"f", "g"},
              'morphism document must have exactly the keys "f" and "g"')
     for key in ("f", "g"):

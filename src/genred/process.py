@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping
 
-from .core import Distribution, Generator, Partition
+from .core import Distribution, Generator, Partition, Rows, joint_rows
 from .errors import (
     AlphabetMismatchError,
     DistributionMismatchError,
@@ -33,7 +33,6 @@ from .rng import SplitMix64
 
 Word = tuple[str, ...]
 Vector = dict[int, int]  # sparse integer vector: index -> nonzero entry
-Rows = list[list[tuple[int, int]]]  # per-index lists of (index, entry)
 Basis = list[tuple[int, Vector]]  # (pivot, primitive vector) in echelon order
 
 DEFAULT_SIZE_LIMIT = 10**6
@@ -194,26 +193,6 @@ def sample(
     return tuple(emitted), state
 
 
-def _joint_rows(gens: tuple[Generator, ...], backward: bool) -> dict[str, Rows]:
-    """Sparse per-symbol integer rows of the block-diagonal kernel on the
-    concatenated state spaces, over one common denominator D.  Forward rows
-    give ``v M_s`` (``rows[s][i]`` lists ``(j, D*M_s[i][j])``); backward
-    rows, the transpose, give ``M_s v``."""
-    common = lcm(*(p.denominator for g in gens for row in g.kernel.values()
-                   for p in row.values()))
-    rows = {s: [[] for _ in range(sum(len(g.states) for g in gens))] for s in gens[0].alphabet}
-    offset = 0
-    for g in gens:
-        for x, row in g.kernel.items():
-            for (y, s), p in row.items():
-                i, j = offset + g.state_index[x], offset + g.state_index[y]
-                if backward:
-                    i, j = j, i
-                rows[s][i].append((j, p.numerator * (common // p.denominator)))
-        offset += len(g.states)
-    return rows
-
-
 def _apply(vec: Vector, rows: Rows) -> Vector:
     out: Vector = {}
     for i, v in vec.items():
@@ -282,7 +261,7 @@ def _first_difference(
     _check_distribution(gen2, mu2)
     (d1, v1), (d2, v2) = _scaled_initial(gen1, mu1), _scaled_initial(gen2, mu2)
     start = {j: w for j, w in enumerate([w * d2 for w in v1] + [w * d1 for w in v2]) if w}
-    forward, n1 = _joint_rows((gen1, gen2), backward=False), len(gen1.states)
+    forward, n1 = joint_rows((gen1, gen2), backward=False), len(gen1.states)
     for depth, vec in _span(start, forward):
         if sum(v if j < n1 else -v for j, v in vec.items()):
             return depth, start, forward
@@ -316,7 +295,7 @@ def shortest_distinguishing_word(
     n1, n = len(gen1.states), len(gen1.states) + len(gen2.states)
     layers: list[Basis] = [[]]
     _insert(layers[0], {j: 1 if j < n1 else -1 for j in range(n)})
-    back = _joint_rows((gen1, gen2), backward=True)
+    back = joint_rows((gen1, gen2), backward=True)
     while len(layers) < length:
         layer: Basis = []
         for _, base in layers[-1]:
@@ -343,7 +322,7 @@ def causal_state_partition(gen: Generator) -> Partition:
     vectors of word probabilities seen from each state), so one basis of
     it, whichever, classifies all states at once.
     """
-    rows = _joint_rows((gen,), backward=True)
+    rows = joint_rows((gen,), backward=True)
     basis = [vec for _, vec in _span({i: 1 for i in range(len(gen.states))}, rows)]
     signatures: dict[tuple[int, ...], list[str]] = {}
     for i, x in enumerate(gen.states):

@@ -20,11 +20,19 @@ state.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import DeterministicGenerator, Generator, Partition, from_deterministic, image
+from .core import (
+    DeterministicGenerator,
+    Generator,
+    Partition,
+    from_deterministic,
+    image,
+    joint_rows,
+)
 
 ReducedRow = Mapping[tuple[int, str], Fraction]
 
@@ -92,27 +100,73 @@ def _classes(states: Sequence[str], rows: Mapping[str, Mapping]) -> list[list[st
 
 
 def event_reduction(gen: Generator) -> EventReducedGenerator:
-    """Coarsest stable partition by refinement.
+    """Coarsest stable partition by splitter-queue refinement (Valmari and
+    Franceschinis, "Simple O(m log n) Time Markov Chain Lumping", 2010).
 
-    Start from the one-block partition and repeatedly regroup the states by
-    their signature (mass into each current block per symbol), until a
-    fixpoint; at most |Q| rounds.  Each round refines the last (by induction:
-    masses into the old blocks are sums of masses into the new ones), and a
-    split never separates two states that the coarsest stable partition
-    keeps together (their signature entries are sums of stable block masses,
-    which agree), so every block remains a union of that partition's blocks
-    and the fixpoint, being itself stable, is exactly the coarsest stable
-    partition.  Blocks are numbered canonically in every round, so the
-    fixpoint's signatures are the reduced kernel.
+    Works on the backward integer rows of :func:`joint_rows`, so every mass
+    is an exact integer.  Start from one queued block.  Pop a splitter B,
+    sum each predecessor's mass into B per symbol, and split every touched
+    block by that signature; the untouched remainder of a block keeps its
+    id, so a split costs only the touched states.  The parts of a block
+    that was queued are all queued; otherwise all but the largest are,
+    since the mass into it is the mass into the old block minus the mass
+    into the others, and the partition is already stable for the old
+    block.  So each state enters O(log n) splitters: O(m log n) in all.
+    A split only separates states with different mass into a union of
+    coarsest-partition blocks, and an empty queue leaves the partition
+    stable for each of its blocks: the fixpoint is the coarsest stable
+    partition, whose reduced rows are then computed once.
+
+    Kernel entries must be nonnegative, as :func:`~genred.core.validate`
+    requires: a zero mass counts as no mass, so signed entries that cancel
+    can leave a zero-valued reduced entry that the stability check rejects.
     """
-    blocks = [list(gen.states)]
-    while True:
-        block_of = {x: i for i, block in enumerate(blocks) for x in block}
-        rows = {x: image(gen.kernel[x], block_of) for x in gen.states}
-        refined = _classes(gen.states, rows)
-        if len(refined) == len(blocks):
-            return EventReducedGenerator(gen, Partition(blocks, gen.states), rows)
-        blocks = refined
+    rows = list(joint_rows((gen,), backward=True).values())
+    members = [set(range(len(gen.states)))]
+    block_of = [0] * len(gen.states)
+    queued = [True]
+    queue = deque([0])
+    while queue:
+        b = queue.popleft()
+        queued[b] = False
+        splitter = members[b]
+        signature: dict[int, list[tuple[int, int]]] = {}
+        for k, into in enumerate(rows):
+            mass: dict[int, int] = {}
+            for y in splitter:
+                for x, w in into[y]:
+                    mass[x] = mass.get(x, 0) + w
+            for x, m in mass.items():
+                if m:
+                    signature.setdefault(x, []).append((k, m))
+        touched: dict[int, dict[tuple, list[int]]] = {}
+        for x, sig in signature.items():
+            touched.setdefault(block_of[x], {}).setdefault(tuple(sig), []).append(x)
+        for c, groups in touched.items():
+            parts = sorted(groups.values(), key=len)
+            if sum(map(len, parts)) == len(members[c]):
+                parts.pop()  # no untouched remainder: the largest part keeps id c
+            ids = [c]
+            for part in parts:
+                members[c].difference_update(part)
+                for x in part:
+                    block_of[x] = len(members)
+                ids.append(len(members))
+                members.append(set(part))
+                queued.append(False)
+            if not queued[c]:
+                ids.remove(max(ids, key=lambda i: len(members[i])))
+            for i in ids:
+                if not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+    partition = Partition(
+        [[gen.states[x] for x in block] for block in members], gen.states
+    )
+    index = {x: i for i, block in enumerate(partition.blocks) for x in block}
+    return EventReducedGenerator(
+        gen, partition, {x: image(gen.kernel[x], index) for x in gen.states}
+    )
 
 
 def sigma_observation_partition(dg: DeterministicGenerator) -> Partition:

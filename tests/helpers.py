@@ -74,10 +74,14 @@ def random_distribution(rnd: random.Random, states, denom: int = 12) -> Distribu
 
 
 def random_deterministic(
-    rnd: random.Random, max_states: int = 12, max_symbols: int = 4
+    rnd: random.Random,
+    max_states: int = 12,
+    max_symbols: int = 4,
+    n_states: int | None = None,
+    n_symbols: int | None = None,
 ) -> DeterministicGenerator:
-    n = rnd.randint(1, max_states)
-    k = rnd.randint(1, max_symbols)
+    n = n_states if n_states is not None else rnd.randint(1, max_states)
+    k = n_symbols if n_symbols is not None else rnd.randint(1, max_symbols)
     states = state_names(n)
     symbols = symbol_names(k)
     f = {x: rnd.choice(states) for x in states}
@@ -227,21 +231,44 @@ def _set_partitions(items):
         yield [[first]] + sub
 
 
+def _block_masses(gen: Generator, block_of, x: str) -> dict:
+    """Mass from ``x`` into each (block, symbol), keys in kernel-row order."""
+    out = {}
+    for (y, s), p in gen.kernel[x].items():
+        out[block_of[y], s] = out.get((block_of[y], s), ZERO) + p
+    return out
+
+
 def _is_stable(gen: Generator, blocks) -> bool:
     """Every block's members agree on the mass into each (block, symbol)."""
     block_of = {x: i for i, b in enumerate(blocks) for x in b}
-
-    def masses(x):
-        out = {}
-        for (y, s), p in gen.kernel[x].items():
-            out[block_of[y], s] = out.get((block_of[y], s), ZERO) + p
-        return out
-
     for block in blocks:
-        first = masses(block[0])
-        if any(masses(x) != first for x in block[1:]):
+        first = _block_masses(gen, block_of, block[0])
+        if any(_block_masses(gen, block_of, x) != first for x in block[1:]):
             return False
     return True
+
+
+def naive_event_reduction(gen: Generator):
+    """Referee for :func:`genred.event_reduction`: round-based refinement.
+
+    Each round regroups every state by its mass into each current
+    (block, symbol), groups in order of first appearance, until the block
+    count stops growing: O(rounds * m) Fraction work, and up to |Q| rounds
+    (a marked n-cycle needs n).  Blocks are numbered by first member in
+    every round, so the fixpoint's masses are the reduced kernel.  Returns
+    the partition and those rows.
+    """
+    blocks = [list(gen.states)]
+    while True:
+        block_of = {x: i for i, b in enumerate(blocks) for x in b}
+        rows = {x: _block_masses(gen, block_of, x) for x in gen.states}
+        groups: dict[tuple, list[str]] = {}
+        for x in gen.states:
+            groups.setdefault(tuple(sorted(rows[x].items())), []).append(x)
+        if len(groups) == len(blocks):
+            return Partition(blocks, gen.states), rows
+        blocks = list(groups.values())
 
 
 def coarsest_partition_oracle(gen: Generator) -> Partition:

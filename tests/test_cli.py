@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from genred import Distribution, catalog, validate
-from genred.cli import run
+from genred.cli import MAX_ROTATION_DENOMINATOR, run
 from genred.formats import dump_generator, parse_generator_text
 
 
@@ -52,6 +52,15 @@ class TestValidateCommand:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert run(["validate", str(path)]) == 2
+
+    def test_long_mantissa_file_is_usage_error(self, tmp_path, capsys):
+        gen, mu = catalog("golden-mean")
+        text = dump_generator(gen, mu)
+        for prob in ('"0.' + "0" * 5000 + '1"', "1" + "0" * 5000):
+            path = tmp_path / "long.json"
+            path.write_text(text.replace('"1/2"', prob, 1))
+            err = assert_usage_error(run(["validate", str(path)]), capsys)
+            assert len(err) < 300 and "set_int_max_str_digits" not in err
 
     def test_missing_file(self, tmp_path):
         assert run(["validate", str(tmp_path / "absent.json")]) == 2
@@ -194,6 +203,16 @@ class TestWordsCommand:
         assert len(captured.err.splitlines()) == 1
         assert "exponent longer than 3 digits" in captured.err
 
+    def test_long_mantissa_initial_is_one_line(self, fixture_file, capsys):
+        path = fixture_file("golden-mean")
+        spec = json.dumps({"A": "0." + "0" * 5000 + "1"})
+        code = run(["words", path, "--max-len", "1", "--initial", spec])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
+        assert "more than 4300 digits" in captured.err
+
     def test_long_exponent_tolerance_is_usage_error(self, fixture_file, capsys):
         path = fixture_file("golden-mean")
         code = run(["words", path, "--max-len", "2", "--tolerance", "1e-99999"])
@@ -300,6 +319,16 @@ class TestExampleCommand:
     def test_zero_denominator_rotation_is_usage_error(self, capsys):
         code = run(["example", "rotation:1/0"])
         assert "zero denominator" in assert_usage_error(code, capsys)
+
+    def test_large_denominator_rotation_is_usage_error(self, capsys):
+        for spec in ("1/100000000", "1e-999", f"1/{MAX_ROTATION_DENOMINATOR + 1}"):
+            code = run(["example", f"rotation:{spec}"])
+            err = assert_usage_error(code, capsys)
+            assert f"denominator over {MAX_ROTATION_DENOMINATOR}" in err
+
+    def test_long_exponent_rotation_is_usage_error(self, capsys):
+        code = run(["example", "rotation:1e-99999999"])
+        assert "exponent" in assert_usage_error(code, capsys)
 
     def test_unknown_fixture(self, capsys):
         assert run(["example", "nonesuch"]) == 1

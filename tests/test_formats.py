@@ -141,6 +141,26 @@ class TestParsing:
         with pytest.raises(FileFormatError, match="exponent"):
             parse_generator_text(json.dumps(doc))
 
+    def test_long_mantissa_is_one_short_line(self):
+        assert parse_prob("0." + "0" * 4299 + "1") == Fraction(1, 10**4300)
+        for text in ("0." + "0" * 5000 + "1", "1" * 4301 + "/2", "1_" * 4301 + "1"):
+            with pytest.raises(FileFormatError, match="more than 4300 digits") as info:
+                parse_prob(text)
+            message = str(info.value)
+            assert len(message) < 100 and "\n" not in message
+            assert "set_int_max_str_digits" not in message
+        with pytest.raises(FileFormatError) as info:
+            parse_prob("x" * 5000)
+        assert len(str(info.value)) < 100
+
+    def test_long_mantissa_in_file_rejected(self):
+        doc = minimal_doc(initial={"q": "0." + "0" * 5000 + "1"})
+        with pytest.raises(FileFormatError, match="more than 4300 digits"):
+            parse_generator_text(json.dumps(doc))
+        text = json.dumps(minimal_doc()).replace('"1/2"', "1" + "0" * 5000, 1)
+        with pytest.raises(FileFormatError, match="invalid JSON"):
+            parse_generator_text(text)
+
     def test_parse_prob_forms(self):
         assert parse_prob("1/2") == Fraction(1, 2)
         assert parse_prob("0.125") == Fraction(1, 8)
