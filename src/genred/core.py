@@ -403,12 +403,14 @@ def image(
     return out
 
 
-def joint_rows(gens: tuple[Generator, ...], backward: bool) -> dict[str, Rows]:
+def joint_rows(
+    gens: tuple[Generator, ...], backward: bool
+) -> tuple[int, dict[str, Rows]]:
     """Sparse per-symbol integer rows of the block-diagonal kernel on the
     concatenated state spaces, over one common denominator D: the one
-    integer-scaled form of a kernel.  Forward rows give ``v M_s``
-    (``rows[s][i]`` lists ``(j, D*M_s[i][j])``); backward rows, the
-    transpose, give ``M_s v``."""
+    integer-scaled form of a kernel.  Returns ``(D, rows)``.  Forward rows
+    give ``v M_s`` (``rows[s][i]`` lists ``(j, D*M_s[i][j])``); backward
+    rows, the transpose, give ``M_s v``."""
     common = lcm(*(p.denominator for g in gens for row in g.kernel.values()
                    for p in row.values()))
     rows = {s: [[] for _ in range(sum(len(g.states) for g in gens))] for s in gens[0].alphabet}
@@ -421,7 +423,7 @@ def joint_rows(gens: tuple[Generator, ...], backward: bool) -> dict[str, Rows]:
                     i, j = j, i
                 rows[s][i].append((j, p.numerator * (common // p.denominator)))
         offset += len(g.states)
-    return rows
+    return common, rows
 
 
 def pushforward(d: Distribution, f: Mapping[str, str]) -> Distribution:

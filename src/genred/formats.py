@@ -102,6 +102,7 @@ def parse_generator_document(
     raw_transitions = doc.get("transitions")
     _require(isinstance(raw_transitions, list), "transitions must be a list")
     kernel: dict[str, dict[tuple[str, str], Fraction]] = {x: {} for x in states}
+    symbols = set(alphabet)
     for t in raw_transitions:
         _require(isinstance(t, dict), "each transition must be an object")
         _require(set(t) == {"from", "to", "symbol", "prob"},
@@ -109,7 +110,7 @@ def parse_generator_document(
         src, dst, sym = t["from"], t["to"], t["symbol"]
         _require(src in kernel, f"transition from unknown state {src!r}")
         _require(dst in kernel, f"transition to unknown state {dst!r}")
-        _require(sym in set(alphabet), f"transition on unknown symbol {sym!r}")
+        _require(sym in symbols, f"transition on unknown symbol {sym!r}")
         key = (dst, sym)
         _require(key not in kernel[src],
                  f"duplicate transition {src!r} -> ({dst!r}, {sym!r})")
@@ -127,7 +128,7 @@ def parse_generator_document(
         _require(isinstance(raw_initial, dict), "initial must be an object")
         initial = {}
         for x, p in raw_initial.items():
-            _require(x in set(states), f"initial weight for unknown state {x!r}")
+            _require(x in kernel, f"initial weight for unknown state {x!r}")
             initial[x] = parse_prob(p)
         if tolerance is not None:
             total = sum(initial.values(), Fraction(0))
@@ -193,8 +194,8 @@ def word_name(word: Word, alphabet: tuple[str, ...]) -> str:
 def dump_word_table(table: WordTable) -> str:
     """One line per word in length-lexicographic order: `<word> <p>/<q>`."""
     lines = [
-        f"{word_name(w, table.alphabet)} {fraction_str(table.probs[w])}"
-        for w in table.words()
+        f"{word_name(w, table.alphabet)} {fraction_str(p)}"
+        for w, p in table.probs.items()
     ]
     return "\n".join(lines) + "\n"
 

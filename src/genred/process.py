@@ -6,7 +6,8 @@ distribution over output words.  The probability of a word w1..wn is
     sum over state paths x0..xn of  mu(x0) * prod_k T(x_{k-1}, (x_k, wk)),
 
 evaluated here as iterated vector-matrix products with one matrix per output
-symbol, M_s[x][y] = T(x, (y, s)).  Word enumeration is always
+symbol, M_s[x][y] = T(x, (y, s)), kept as the sparse integer rows of
+:func:`genred.core.joint_rows`.  Word enumeration is always
 length-lexicographic by symbol index so that emitted tables are canonical.
 
 Only depth-limited truncations of a process are materialized (word tables up
@@ -45,6 +46,8 @@ class WordTable:
     Invariants (guaranteed by construction from a valid generator): the
     empty word has probability one, and for every strictly shorter word w
     the one-symbol extensions of w carry exactly w's probability in total.
+    ``probs`` is in length-lexicographic order by symbol index, the order
+    in which :func:`word_distribution` builds it.
     """
 
     max_len: int
@@ -56,8 +59,7 @@ class WordTable:
 
     def words(self) -> Iterator[Word]:
         """Words in length-lexicographic order by symbol index."""
-        index = {s: i for i, s in enumerate(self.alphabet)}
-        return iter(sorted(self.probs, key=lambda w: (len(w), [index[s] for s in w])))
+        return iter(self.probs)
 
 
 def _check_distribution(gen: Generator, mu: Distribution) -> None:
@@ -68,59 +70,27 @@ def _check_distribution(gen: Generator, mu: Distribution) -> None:
         )
 
 
-def _scaled_matrices(gen: Generator) -> tuple[int, dict[str, list[list[int]]]]:
-    """Per-symbol integer matrices over a common denominator.
-
-    Returns (D, mats) with mats[s][i][j] = D * T(states[i], (states[j], s)).
-    Keeping the inner loops in machine integers makes deep word tables cheap
-    while staying exact; results are renormalized to Fractions on output.
-    """
-    denoms = [p.denominator for row in gen.kernel.values() for p in row.values()]
-    common = lcm(*denoms) if denoms else 1
-    n = len(gen.states)
-    mats = {s: [[0] * n for _ in range(n)] for s in gen.alphabet}
-    for x, row in gen.kernel.items():
-        i = gen.state_index[x]
-        for (y, s), p in row.items():
-            mats[s][i][gen.state_index[y]] = int(p * common)
-    return common, mats
-
-
-def _scaled_initial(gen: Generator, mu: Distribution) -> tuple[int, list[int]]:
-    denom = lcm(*(w.denominator for w in mu.weights.values()))
-    vec = [0] * len(gen.states)
-    for x, w in mu.weights.items():
-        vec[gen.state_index[x]] = int(w * denom)
-    return denom, vec
-
-
-def _advance(vec: list[int], mat: list[list[int]]) -> list[int]:
-    n = len(vec)
-    out = [0] * n
-    for i, v in enumerate(vec):
-        if v:
-            row = mat[i]
-            for j in range(n):
-                m = row[j]
-                if m:
-                    out[j] += v * m
-    return out
+def _scaled_initial(gen: Generator, mu: Distribution) -> tuple[int, Vector]:
+    """``(d, d * mu)`` with the vector sparse and keyed in state index order."""
+    weights, d = mu.weights, lcm(*(w.denominator for w in mu.weights.values()))
+    return d, {i: int(weights[x] * d) for i, x in enumerate(gen.states) if x in weights}
 
 
 def word_probability(gen: Generator, mu: Distribution, w: Word) -> Fraction:
     """Probability that the process emits exactly the prefix ``w``.
 
-    Cost O(|w| * |Q|^2).  The empty word has probability one.
+    Cost O(|Q| + (|w| + 1) * m) for m kernel entries.  The empty word has
+    probability one.
     """
     _check_distribution(gen, mu)
     for s in w:
         if s not in gen.symbol_index:
             raise UnknownSymbolError(f"unknown symbol {s!r}")
-    kernel_denom, mats = _scaled_matrices(gen)
+    kernel_denom, rows = joint_rows((gen,), backward=False)
     mu_denom, vec = _scaled_initial(gen, mu)
     for s in w:
-        vec = _advance(vec, mats[s])
-    return Fraction(sum(vec), mu_denom * kernel_denom ** len(w))
+        vec = _apply(vec, rows[s])
+    return Fraction(sum(vec.values()), mu_denom * kernel_denom ** len(w))
 
 
 def _table_entries(alphabet: tuple[str, ...], max_len: int) -> int:
@@ -151,20 +121,20 @@ def word_distribution(
         raise SizeLimitError(
             f"table would hold {entries} entries, over the cap of {size_limit}"
         )
-    kernel_denom, mats = _scaled_matrices(gen)
+    kernel_denom, rows = joint_rows((gen,), backward=False)
     mu_denom, vec0 = _scaled_initial(gen, mu)
     probs: dict[Word, Fraction] = {}
-    level: list[tuple[Word, list[int]]] = [((), vec0)]
+    level: list[tuple[Word, Vector]] = [((), vec0)]
     denom = mu_denom
-    probs[()] = Fraction(sum(vec0), denom)
+    probs[()] = Fraction(sum(vec0.values()), denom)
     for _ in range(max_len):
         denom *= kernel_denom
-        next_level: list[tuple[Word, list[int]]] = []
+        next_level: list[tuple[Word, Vector]] = []
         for word, vec in level:
-            for s in gen.alphabet:
+            for s, mat in rows.items():
                 extended = word + (s,)
-                advanced = _advance(vec, mats[s])
-                probs[extended] = Fraction(sum(advanced), denom)
+                advanced = _apply(vec, mat)
+                probs[extended] = Fraction(sum(advanced.values()), denom)
                 next_level.append((extended, advanced))
         level = next_level
     return WordTable(max_len=max_len, alphabet=gen.alphabet, probs=probs)
@@ -260,8 +230,9 @@ def _first_difference(
     _check_distribution(gen1, mu1)
     _check_distribution(gen2, mu2)
     (d1, v1), (d2, v2) = _scaled_initial(gen1, mu1), _scaled_initial(gen2, mu2)
-    start = {j: w for j, w in enumerate([w * d2 for w in v1] + [w * d1 for w in v2]) if w}
-    forward, n1 = joint_rows((gen1, gen2), backward=False), len(gen1.states)
+    n1 = len(gen1.states)
+    start = {j: w * d2 for j, w in v1.items()} | {n1 + j: w * d1 for j, w in v2.items()}
+    _, forward = joint_rows((gen1, gen2), backward=False)
     for depth, vec in _span(start, forward):
         if sum(v if j < n1 else -v for j, v in vec.items()):
             return depth, start, forward
@@ -295,7 +266,7 @@ def shortest_distinguishing_word(
     n1, n = len(gen1.states), len(gen1.states) + len(gen2.states)
     layers: list[Basis] = [[]]
     _insert(layers[0], {j: 1 if j < n1 else -1 for j in range(n)})
-    back = joint_rows((gen1, gen2), backward=True)
+    _, back = joint_rows((gen1, gen2), backward=True)
     while len(layers) < length:
         layer: Basis = []
         for _, base in layers[-1]:
@@ -322,7 +293,7 @@ def causal_state_partition(gen: Generator) -> Partition:
     vectors of word probabilities seen from each state), so one basis of
     it, whichever, classifies all states at once.
     """
-    rows = joint_rows((gen,), backward=True)
+    _, rows = joint_rows((gen,), backward=True)
     basis = [vec for _, vec in _span({i: 1 for i in range(len(gen.states))}, rows)]
     signatures: dict[tuple[int, ...], list[str]] = {}
     for i, x in enumerate(gen.states):

@@ -121,7 +121,7 @@ def event_reduction(gen: Generator) -> EventReducedGenerator:
     requires: a zero mass counts as no mass, so signed entries that cancel
     can leave a zero-valued reduced entry that the stability check rejects.
     """
-    rows = list(joint_rows((gen,), backward=True).values())
+    rows = list(joint_rows((gen,), backward=True)[1].values())
     members = [set(range(len(gen.states)))]
     block_of = [0] * len(gen.states)
     queued = [True]

@@ -284,8 +284,10 @@ class TestJsonSchema:
     def test_schema_bounds_exponents_like_the_parser(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA_PATH.read_text())
+        longest, too_long = "0." + "0" * 4299 + "1", "0." + "0" * 4300 + "1"
         for prob, ok in (("1e-999", True), (".5E+3", True), ("1e-1000", False),
-                         ("0.5e0001", False), ("1.e99999", False)):
+                         ("0.5e0001", False), ("1.e99999", False),
+                         (longest, True), (too_long, False)):
             doc = minimal_doc(initial={"q": prob})
             if ok:
                 jsonschema.validate(doc, schema)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,13 @@ from genred import (
     word_probability,
 )
 from genred.catalog import arc_length_distribution
+from genred.formats import dump_word_table, word_name
 from helpers import (
     all_words,
     brute_word_probability,
     label_sequence_partition,
+    lift,
+    marked_cycle,
     random_deterministic,
     random_distribution,
     random_generator,
@@ -62,13 +66,27 @@ class TestWordProbability:
 
     def test_matches_path_enumeration_on_random_generators(self):
         rnd = random.Random(2718)
-        for _ in range(20):
-            gen = random_generator(rnd, max_states=3, max_symbols=2)
+        gens = [random_generator(rnd, max_states=3, max_symbols=2) for _ in range(20)]
+        gens += [from_deterministic(random_deterministic(rnd, max_states=5, max_symbols=3))
+                 for _ in range(10)]
+        gens += [lift(rnd, random_generator(rnd, max_states=2, max_symbols=2), 2)[0]
+                 for _ in range(10)]
+        for gen in gens:
             mu = random_distribution(rnd, gen.states)
-            for w in all_words(gen.alphabet, 3):
-                assert word_probability(gen, mu, w) == brute_word_probability(
-                    gen, mu, w
-                )
+            table = word_distribution(gen, mu, 3)
+            assert list(table.probs) == list(all_words(gen.alphabet, 3))
+            for w, p in table.probs.items():
+                assert p == brute_word_probability(gen, mu, w)
+                assert word_probability(gen, mu, w) == p
+
+    def test_long_word_on_a_large_sparse_machine(self):
+        gen = marked_cycle(1000)
+        mu = Distribution.uniform(gen.states)
+        word = ("a",) * 99 + ("b",) + ("a",) * 100  # only from q900
+        start = time.perf_counter()
+        assert word_probability(gen, mu, word) == Fraction(1, 1000)
+        assert word_probability(gen, mu, ("a",) * 200) == Fraction(4, 5)
+        assert time.perf_counter() - start < 2.0
 
     def test_unknown_symbol_rejected(self):
         gen, mu = catalog("golden-mean")
@@ -147,9 +165,17 @@ class TestWordDistribution:
         assert len(word_distribution(gen, mu, 4, size_limit=31).probs) == 31
 
     def test_words_are_length_lexicographic(self):
-        gen, mu = catalog("randomness-2")
-        table = word_distribution(gen, mu, 2)
-        assert list(table.words()) == list(all_words(gen.alphabet, 2))
+        backwards = Generator(  # symbol index order is not string order
+            ["q", "r"], ["b", "a"],
+            {"q": {("r", "b"): Fraction(1, 3), ("q", "a"): Fraction(2, 3)},
+             "r": {("q", "a"): Fraction(1)}},
+        )
+        for gen, mu in (catalog("randomness-2"), (backwards, Distribution.point("q"))):
+            table = word_distribution(gen, mu, 3)
+            expected = list(all_words(gen.alphabet, 3))
+            assert list(table.words()) == list(table.probs) == expected
+            names = [line.split(" ")[0] for line in dump_word_table(table).splitlines()]
+            assert names == [word_name(w, gen.alphabet) for w in expected]
 
 
 class TestSample:
