@@ -61,7 +61,6 @@ from .reduce import (
     minimal_reduction,
     sigma_observation_partition,
     state_reduction,
-    state_reduction_reduced,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +110,6 @@ __all__ = [
     "shortest_distinguishing_word",
     "sigma_observation_partition",
     "state_reduction",
-    "state_reduction_reduced",
     "validate",
     "verify",
     "word_distribution",

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import (
     Distribution,
@@ -19,6 +19,7 @@ from .core import (
     from_deterministic,
 )
 from .errors import RowNotNormalizedError, UnknownFixtureError
+from .formats import word_separator
 
 FIXTURE_NAMES = (
     "randomness-2",
@@ -112,10 +113,6 @@ def arc_length_distribution(model: CircleModel) -> Distribution:
     )
 
 
-def _word_name(word: Sequence[str], single_char: bool) -> str:
-    return "".join(word) if single_char else ",".join(word)
-
-
 def markov_shift(
     k: int, cond: Mapping[tuple[str, ...], Mapping[str, RatLike]]
 ) -> Generator:
@@ -136,8 +133,8 @@ def markov_shift(
     words: list[tuple[str, ...]] = [()]
     for _ in range(k):
         words = [w + (s,) for w in words for s in symbols]
-    single = all(len(s) == 1 for s in symbols)
-    names = {w: _word_name(w, single) for w in words}
+    sep = word_separator(symbols)
+    names = {w: sep.join(w) for w in words}
     kernel: dict[str, dict[tuple[str, str], Fraction]] = {}
     for w in words:
         if w not in cond:

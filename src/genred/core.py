@@ -395,12 +395,13 @@ def image(
 ) -> dict[tuple, Fraction]:
     """Push a kernel row through a state map ``f`` and a symbol map ``g``
     (the identity when None): the mass of ``(f[y], g[s])`` is the total mass
-    of its preimage entries."""
+    of its preimage entries.  A zero total is no mass and keeps no key, as
+    in a :class:`Generator` row."""
     out: dict[tuple, Fraction] = {}
     for (y, s), p in row.items():
         key = (f[y], s if g is None else g[s])
         out[key] = out[key] + p if key in out else p
-    return out
+    return {key: p for key, p in out.items() if p}
 
 
 def joint_rows(

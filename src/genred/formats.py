@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .core import Distribution, Generator, fraction_str
 from .errors import FileFormatError
@@ -180,21 +180,23 @@ def dump_generator(
     return json.dumps(generator_document(gen, initial, quotient), indent=2) + "\n"
 
 
+def word_separator(alphabet: Sequence[str]) -> str:
+    """The string that joins the symbols of a word: none when every
+    alphabet symbol is a single character, "," otherwise."""
+    return "" if all(len(s) == 1 for s in alphabet) else ","
+
+
 def word_name(word: Word, alphabet: tuple[str, ...]) -> str:
-    """Display form of a word: symbols joined with no separator when every
-    alphabet symbol is a single character, with "," otherwise; the empty
+    """Display form of a word, joined by :func:`word_separator`; the empty
     word renders as an epsilon."""
-    if not word:
-        return "ε"
-    if all(len(s) == 1 for s in alphabet):
-        return "".join(word)
-    return ",".join(word)
+    return word_separator(alphabet).join(word) if word else "ε"
 
 
 def dump_word_table(table: WordTable) -> str:
     """One line per word in length-lexicographic order: `<word> <p>/<q>`."""
+    sep = word_separator(table.alphabet)
     lines = [
-        f"{word_name(w, table.alphabet)} {fraction_str(p)}"
+        f"{sep.join(w) if w else 'ε'} {fraction_str(p)}"
         for w, p in table.probs.items()
     ]
     return "\n".join(lines) + "\n"

@@ -1,13 +1,15 @@
 """Reduction of generators to minimal observationally equivalent form.
 
-Two reductions compose into the minimal one:
-
-* internal-event reduction finds the coarsest partition of the state set
-  such that, for every block A and symbol s, the mass x -> T(x, A x {s}) is
-  constant on each block (the finite form of keeping only the internal
-  events needed to reproduce the output process);
-* internal-state reduction then merges states whose rows over the surviving
-  events are identical.
+Internal-event reduction finds the coarsest partition of the state set such
+that, for every block A and symbol s, the mass x -> T(x, A x {s}) is
+constant on each block (the finite form of keeping only the internal events
+needed to reproduce the output process).  Internal-state reduction then
+merges states whose rows over the surviving events are identical; on the
+coarsest stable partition distinct blocks always carry distinct rows, so it
+merges exactly the event blocks and :func:`minimal_reduction` is the
+quotient by the coarsest lumping.  The predictive (causal) minimum of
+:func:`~genred.process.causal_state_partition` can be coarser still: states
+may generate the same process without any stable partition joining them.
 
 Over a finite state set the coarsest stable partition is unique: stable
 partitions are closed under finest common coarsening, which is what the
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
@@ -33,8 +34,6 @@ from .core import (
     image,
     joint_rows,
 )
-
-ReducedRow = Mapping[tuple[int, str], Fraction]
 
 
 def class_name(block: Sequence[str]) -> str:
@@ -47,24 +46,20 @@ class EventReducedGenerator:
     (:func:`event_reduction` always supplies the coarsest one).
 
     ``reduced_kernel[x][(i, s)]`` is the total mass from ``x`` into block
-    ``i`` of the partition while emitting ``s``.  Stability (each such mass
-    constant across the states of any one block) is re-checked on
-    construction; it is the defining property of the partition.
+    ``i`` of the partition while emitting ``s``, computed on construction
+    with :func:`~genred.core.image`.  Stability (each such mass constant
+    across the states of any one block) is then checked; it is the defining
+    property of the partition.  Kernel entries must be nonnegative, as
+    :func:`~genred.core.validate` requires.
     """
 
     __slots__ = ("base", "partition", "reduced_kernel")
 
-    def __init__(
-        self,
-        base: Generator,
-        partition: Partition,
-        reduced_kernel: Mapping[str, ReducedRow],
-    ):
+    def __init__(self, base: Generator, partition: Partition):
         self.base = base
         self.partition = partition
-        self.reduced_kernel = {
-            x: dict(reduced_kernel[x]) for x in base.states
-        }
+        index = {x: i for i, block in enumerate(partition.blocks) for x in block}
+        self.reduced_kernel = {x: image(base.kernel[x], index) for x in base.states}
         for block in partition.blocks:
             first = self.reduced_kernel[block[0]]
             for x in block[1:]:
@@ -118,8 +113,9 @@ def event_reduction(gen: Generator) -> EventReducedGenerator:
     partition, whose reduced rows are then computed once.
 
     Kernel entries must be nonnegative, as :func:`~genred.core.validate`
-    requires: a zero mass counts as no mass, so signed entries that cancel
-    can leave a zero-valued reduced entry that the stability check rejects.
+    requires.  A zero mass counts as no mass, here and in
+    :func:`~genred.core.image`, so signed entries that cancel are not
+    rejected, but the result is only meaningful for valid kernels.
     """
     rows = list(joint_rows((gen,), backward=True)[1].values())
     members = [set(range(len(gen.states)))]
@@ -160,12 +156,8 @@ def event_reduction(gen: Generator) -> EventReducedGenerator:
                 if not queued[i]:
                     queued[i] = True
                     queue.append(i)
-    partition = Partition(
-        [[gen.states[x] for x in block] for block in members], gen.states
-    )
-    index = {x: i for i, block in enumerate(partition.blocks) for x in block}
     return EventReducedGenerator(
-        gen, partition, {x: image(gen.kernel[x], index) for x in gen.states}
+        gen, Partition([[gen.states[x] for x in block] for block in members], gen.states)
     )
 
 
@@ -198,23 +190,13 @@ def state_reduction(gen: Generator) -> ReductionResult:
     return _quotient(gen, Partition(_classes(gen.states, gen.kernel), gen.states))
 
 
-def state_reduction_reduced(erg: EventReducedGenerator) -> ReductionResult:
-    """Merge states of an event-reduced generator by equality of their rows
-    over (block, symbol) events, emitting the quotient generator whose
-    states are the classes.
-
-    Because the partition is coarsest, distinct blocks always carry distinct
-    rows, so the classes are exactly the partition blocks.
-    """
-    return _quotient(erg.base, erg.partition)
-
-
 def minimal_reduction(gen: Generator) -> tuple[ReductionResult, EventReducedGenerator]:
-    """Internal-event reduction followed by internal-state reduction.
+    """Internal-event reduction, then the quotient by its blocks (the
+    internal-state reduction of the event-reduced generator).
 
     The reduced generator produces exactly the same word distributions as
     the input for every initial distribution (pushed forward along the
     quotient map), and all of its reduced rows are pairwise distinct.
     """
     erg = event_reduction(gen)
-    return state_reduction_reduced(erg), erg
+    return _quotient(gen, erg.partition), erg

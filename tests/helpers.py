@@ -19,8 +19,11 @@ from genred import (
     Partition,
     SizeLimitError,
 )
+from genred.core import joint_rows
+from genred.process import _span
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 ORACLE_MAX_STATES = 8
 
 
@@ -150,6 +153,71 @@ def bfs_distinguishing_word(
             if sum(a.values(), ZERO) != sum(b.values(), ZERO):
                 return word
     return None
+
+
+def mixed_state_machine(gen: Generator, cap: int = 200):
+    """Referee for the epsilon-machine: the recurrent mixed-state (belief)
+    machine (Crutchfield and Young, PRL 63, 1989; Shalizi and Crutchfield,
+    J. Stat. Phys. 104, 2001).
+
+    Breadth-first search over normalised beliefs b M_s / P(s|b), started
+    from every point mass.  Two beliefs are one mixed state when their dot
+    products with a basis of the backward closure of the all-ones vector
+    (the span of the word-probability vectors M_w 1) are equal, that is
+    when they predict the same future; this one step shares the closure of
+    :func:`genred.causal_state_partition`, while the belief dynamics are
+    stepped here in Fractions.  The recurrent mixed states are the
+    terminal strongly connected components of the transition graph.
+    Returns the generator on them, states ``m<i>`` in discovery order, and
+    one belief per state as a :class:`Distribution`.  Raises
+    :class:`SizeLimitError` once ``cap`` mixed states are found.
+    """
+    _, rows = joint_rows((gen,), backward=True)
+    basis = [vec for _, vec in _span({i: 1 for i in range(len(gen.states))}, rows)]
+    beliefs: list[dict[str, Fraction]] = []
+    found: dict[tuple, int] = {}
+
+    def visit(belief: dict[str, Fraction]) -> int:
+        key = tuple(
+            sum((w * vec.get(gen.state_index[x], 0) for x, w in belief.items()), ZERO)
+            for vec in basis
+        )
+        if key not in found:
+            if len(beliefs) == cap:
+                raise SizeLimitError(f"more than {cap} mixed states")
+            found[key] = len(beliefs)
+            beliefs.append(belief)
+        return found[key]
+
+    for x in gen.states:
+        visit({x: ONE})
+    edges: list[dict[tuple[int, str], Fraction]] = []
+    while len(edges) < len(beliefs):  # beliefs grows while it is walked
+        belief, out = beliefs[len(edges)], {}
+        for s in gen.alphabet:
+            image = _step(gen, belief, s)
+            p = sum(image.values(), ZERO)
+            if p:
+                out[visit({y: w / p for y, w in image.items()}), s] = p
+        edges.append(out)
+
+    reach = []
+    for i in range(len(beliefs)):
+        seen, stack = {i}, [i]
+        while stack:
+            for j, _ in edges[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    names = {
+        i: f"m{i}" for i in range(len(beliefs)) if all(i in reach[j] for j in reach[i])
+    }
+    kernel = {
+        names[i]: {(names[j], s): p for (j, s), p in edges[i].items()} for i in names
+    }
+    msm = Generator(list(names.values()), gen.alphabet, kernel)
+    return msm, {names[i]: Distribution(beliefs[i]) for i in names}
 
 
 def marked_cycle(n: int) -> Generator:

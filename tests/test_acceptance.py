@@ -6,6 +6,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 from genred import (
     Distribution,
@@ -18,6 +19,7 @@ from genred import (
     from_deterministic,
     minimal_reduction,
     pushforward,
+    rational_rotation,
     relabel_outputs,
     shortest_distinguishing_word,
     sigma_observation_partition,
@@ -30,6 +32,7 @@ from genred.formats import dump_generator, parse_generator_text
 from helpers import (
     coarsest_partition_oracle,
     label_sequence_partition,
+    mixed_state_machine,
     random_deterministic,
     random_distribution,
     random_generator,
@@ -230,3 +233,30 @@ def test_criterion_10_affineness_and_marginal_consistency():
                         (tm[w + (s,)] for s in gen.alphabet), Fraction(0)
                     )
                     assert children == p
+
+
+def test_criterion_11_recurrent_mixed_states_equal_minimal_reduction():
+    """The epsilon-machine claim on the classes it covers: complete
+    randomness, rational rotations, golden mean and parity.  The recurrent
+    mixed states, the minimal_reduction states and the causal classes are
+    equally many, and each mixed state generates its belief's process.  The
+    referee starts from point masses, because from a uniform start the
+    transient mixed states are often infinite."""
+    with _timed(11, 30.0, "recurrent mixed states = minimal reduction, fixtures + 46 rotations"):
+        fixtures = [catalog(name)[0] for name in FIXTURE_NAMES]
+        rotations = [
+            from_deterministic(rational_rotation(q, p)[1])
+            for p in range(1, 13)
+            for q in range(p)
+            if gcd(q, p) == 1
+        ]
+        counts = []
+        for gen in fixtures + rotations:
+            msm, beliefs = mixed_state_machine(gen)
+            result, _ = minimal_reduction(gen)
+            assert len(msm.states) == len(result.reduced.states)
+            assert len(msm.states) == len(causal_state_partition(gen))
+            for state, belief in beliefs.items():
+                assert equivalent(gen, belief, msm, Distribution.point(state))
+            counts.append(len(msm.states))
+        assert counts[: len(fixtures)] == [1, 4, 6, 2, 2, 2]

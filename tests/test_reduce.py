@@ -11,6 +11,7 @@ from genred import (
     Partition,
     SizeLimitError,
     catalog,
+    causal_state_partition,
     complete_randomness,
     event_reduction,
     from_deterministic,
@@ -19,7 +20,6 @@ from genred import (
     rational_rotation,
     sigma_observation_partition,
     state_reduction,
-    state_reduction_reduced,
     validate,
     verify,
     word_distribution,
@@ -29,6 +29,7 @@ from genred.core import DeterministicGenerator
 from helpers import (
     coarsest_partition_oracle,
     label_sequence_partition,
+    mixed_state_machine,
     random_deterministic,
     random_distribution,
     random_generator,
@@ -78,12 +79,24 @@ class TestEventReduction:
         gen, _ = catalog("golden-mean")
         # rows over the one-block partition differ between A and B, so the
         # one-block partition is not stable for this generator
-        unstable = {
-            "A": {(0, "0"): Fraction(1, 2), (0, "1"): Fraction(1, 2)},
-            "B": {(0, "0"): Fraction(1)},
-        }
         with pytest.raises(ValueError):
-            EventReducedGenerator(gen, Partition.trivial(gen.states), unstable)
+            EventReducedGenerator(gen, Partition.trivial(gen.states))
+
+    def test_cancelling_signed_masses_count_as_no_mass(self):
+        # not a valid kernel: x's two a-entries cancel, so every state moves
+        # its whole mass into the one block emitting b
+        gen = Generator(
+            ["x", "y", "z"], ["a", "b"],
+            {
+                "x": {("y", "a"): Fraction(1, 2), ("z", "a"): Fraction(-1, 2),
+                      ("x", "b"): 1},
+                "y": {("x", "b"): 1},
+                "z": {("x", "b"): 1},
+            },
+        )
+        erg = event_reduction(gen)
+        assert erg.partition == Partition.trivial(gen.states)
+        assert erg.reduced_kernel["x"] == {(0, "b"): Fraction(1)}
 
     def test_single_state_is_identity(self):
         gen = Generator(["q"], ["a"], {"q": {("q", "a"): 1}})
@@ -155,7 +168,7 @@ class TestStateReduction:
     def test_randomness_after_event_reduction_is_one_class(self):
         mu = Distribution({"a": Fraction(1, 3), "b": Fraction(2, 3)})
         gen = complete_randomness(mu)
-        result = state_reduction_reduced(event_reduction(gen))
+        result = minimal_reduction(gen)[0]
         assert result.reduced.states == ("c_a",)
         # the single surviving row emits each symbol with its source mass
         assert result.reduced.kernel["c_a"] == {
@@ -168,7 +181,7 @@ class TestStateReductionReduced:
     def test_rotation_p4_gives_four_state_permutation(self):
         model, machine = rational_rotation(1, 4)
         gen = from_deterministic(machine)
-        result = state_reduction_reduced(event_reduction(gen))
+        result = minimal_reduction(gen)[0]
         assert len(result.reduced.states) == 4
         targets = [next(iter(result.reduced.kernel[x]))[0] for x in result.reduced.states]
         assert sorted(targets) == sorted(result.reduced.states)
@@ -181,7 +194,7 @@ class TestStateReductionReduced:
 
     def test_already_minimal_is_identity(self):
         gen, _ = catalog("golden-mean")
-        result = state_reduction_reduced(event_reduction(gen))
+        result = minimal_reduction(gen)[0]
         assert len(result.reduced.states) == len(gen.states)
         values = list(result.quotient_map.values())
         assert len(set(values)) == len(values)
@@ -190,8 +203,7 @@ class TestStateReductionReduced:
         rnd = random.Random(11811)
         for _ in range(40):
             gen = random_generator(rnd, max_states=6, max_symbols=3)
-            erg = event_reduction(gen)
-            result = state_reduction_reduced(erg)
+            result, erg = minimal_reduction(gen)
             assert len(result.reduced.states) == len(erg.partition)
 
 
@@ -248,6 +260,45 @@ class TestMinimalReduction:
             values = list(second.quotient_map.values())
             assert len(set(values)) == len(values) == len(first.reduced.states)
             assert erg2.partition == Partition.singletons(first.reduced.states)
+
+
+class TestPredictionCoarserThanLumping:
+    """A valid generator whose causal classes merge states that no stable
+    partition joins, and whose recurrent mixed-state machine is a fair coin:
+    here the lumping-minimal generator is not the epsilon-machine."""
+
+    def generator(self) -> Generator:
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        return Generator(
+            ["q0", "q1", "q2", "q3", "q4"], ["a", "b"],
+            {
+                "q0": {("q3", "a"): 1},
+                "q1": {("q4", "a"): Fraction(2, 3), ("q3", "a"): Fraction(1, 3)},
+                "q2": {("q0", "a"): quarter, ("q3", "b"): half, ("q4", "a"): quarter},
+                "q3": {("q2", "a"): half, ("q2", "b"): half},
+                "q4": {("q2", "b"): 1},
+            },
+        )
+
+    def test_lumping_keeps_every_state(self):
+        gen = self.generator()
+        assert validate(gen) == []
+        assert event_reduction(gen).partition == Partition.singletons(gen.states)
+        assert len(minimal_reduction(gen)[0].reduced.states) == 5
+
+    def test_causal_classes_are_coarser(self):
+        assert causal_state_partition(self.generator()).blocks == (
+            ("q0",), ("q1",), ("q2", "q3"), ("q4",),
+        )
+
+    def test_recurrent_mixed_states_are_a_fair_coin(self):
+        gen = self.generator()
+        msm, _ = mixed_state_machine(gen)
+        (state,) = msm.states
+        half = Fraction(1, 2)
+        assert msm.kernel[state] == {(state, "a"): half, (state, "b"): half}
+        table = word_distribution(gen, Distribution.point("q2"), 10)
+        assert all(p == Fraction(1, 2 ** len(w)) for w, p in table.probs.items())
 
 
 class TestCoarsestPartitionOracle:
