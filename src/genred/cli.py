@@ -95,7 +95,7 @@ def _resolve_initial(
             if spec.lstrip().startswith("{"):
                 try:
                     doc = json.loads(spec)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise _CommandFailure(2, f"bad initial spec: {exc}")
                 if not isinstance(doc, dict):
                     raise _CommandFailure(2, "initial spec object must map states to probs")

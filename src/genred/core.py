@@ -101,20 +101,6 @@ class Generator:
                     rows[x][(y, s)] = value
         self.kernel = rows
 
-    def row(self, x: str) -> Mapping[tuple[str, str], Fraction]:
-        """Sparse kernel row of state ``x`` (treat as read-only)."""
-        try:
-            return self.kernel[x]
-        except KeyError:
-            raise UnknownStateError(f"unknown state {x!r}") from None
-
-    def entry(self, x: str, y: str, s: str) -> Fraction:
-        """T(x, ({y}, {s})), zero when the transition is absent."""
-        return self.row(x).get((y, s), ZERO)
-
-    def row_sum(self, x: str) -> Fraction:
-        return sum(self.row(x).values(), ZERO)
-
     def ordered_row(self, x: str) -> list[tuple[tuple[str, str], Fraction]]:
         """Kernel entries of ``x`` ordered by target state index, then
         symbol index: the canonical order of every emitted transition."""
@@ -354,7 +340,7 @@ def validate(gen: Generator) -> list[str]:
         for (y, s), p in gen.kernel[x].items():
             if p < 0 or p > 1:
                 report.append(f"entry {x} -> ({y}, {s}) = {fraction_str(p)} outside [0, 1]")
-        total = gen.row_sum(x)
+        total = sum(gen.kernel[x].values(), ZERO)
         if total != 1:
             report.append(f"row {x} sums to {fraction_str(total)}")
     return report

@@ -1,4 +1,4 @@
-"""On-disk formats: generator JSON, morphism JSON, word-table text, DOT.
+"""On-disk formats: generator JSON, word-table text, DOT.
 
 JSON is the single input format (strict schema, versioned); DOT and the
 word-table text are output only.  Probabilities in files are strings,
@@ -29,6 +29,14 @@ MAX_EXPONENT_DIGITS = 3
 MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][+-]?([\d_]*)")
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+# The schema's probability language without its size bounds: ASCII digits,
+# an optional "-", no "+", no "_", and no whitespace inside.  Fraction alone
+# accepts more, and what more depends on the Python version.  The groups
+# hold the numerator and denominator of an integer or "n/d" string.
+_PROB = re.compile(
+    r"\s*(?:(-?[0-9]+)(?:/([0-9]+))?|-?[0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|-?[0-9]+\.?(?:[eE][+-]?[0-9]+)?)\s*"
+)
 
 
 def oversized(text: str) -> str | None:
@@ -52,13 +60,15 @@ def parse_prob(text: Any) -> Fraction:
     if not isinstance(text, str):
         raise FileFormatError(f"probability must be a string, got {text!r}")
     reason = oversized(text)
-    if reason is None:
+    match = _PROB.fullmatch(text) if reason is None else None
+    if match:
+        num, den = match.groups()
         try:
-            return Fraction(text)
-        except ValueError:
-            reason = "not an integer, n/d or decimal"
+            return Fraction(int(num), int(den or 1)) if num else Fraction(text)
         except ZeroDivisionError:
             reason = "zero denominator"
+    elif reason is None:
+        reason = "not an integer, n/d or decimal"
     raise FileFormatError(f"bad probability {text[:40]!r}: {reason}")
 
 
@@ -69,6 +79,8 @@ def _load_json(text: str) -> Any:
         raise FileFormatError(f"invalid JSON: {exc}") from None
     except ValueError:  # a JSON number too long for Python's int conversion
         raise FileFormatError(f"invalid JSON: a number over {MAX_DIGITS} digits") from None
+    except RecursionError:
+        raise FileFormatError("invalid JSON: nested too deeply") from None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -108,6 +120,8 @@ def parse_generator_document(
         _require(set(t) == {"from", "to", "symbol", "prob"},
                  f"transition keys must be from/to/symbol/prob, got {sorted(t)}")
         src, dst, sym = t["from"], t["to"], t["symbol"]
+        _require(type(src) is str and type(dst) is str and type(sym) is str,
+                 "transition from, to and symbol must be strings")
         _require(src in kernel, f"transition from unknown state {src!r}")
         _require(dst in kernel, f"transition to unknown state {dst!r}")
         _require(sym in symbols, f"transition on unknown symbol {sym!r}")
@@ -218,27 +232,3 @@ def dump_dot(gen: Generator) -> str:
             lines.append(f"  {quote(x)} -> {quote(y)} [label={quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def morphism_document(f: Mapping[str, str], g: Mapping[str, str]) -> dict:
-    return {"f": dict(f), "g": dict(g)}
-
-
-def dump_morphism(f: Mapping[str, str], g: Mapping[str, str]) -> str:
-    return json.dumps(morphism_document(f, g), indent=2) + "\n"
-
-
-def parse_morphism_text(text: str) -> tuple[dict[str, str], dict[str, str]]:
-    """Decode the morphism JSON `{"f": {..}, "g": {..}}`; the maps are
-    returned raw and validated against concrete generators when a
-    :class:`genred.morphism.Morphism` is built from them."""
-    doc = _load_json(text)
-    _require(isinstance(doc, dict) and set(doc) == {"f", "g"},
-             'morphism document must have exactly the keys "f" and "g"')
-    for key in ("f", "g"):
-        _require(
-            isinstance(doc[key], dict)
-            and all(isinstance(a, str) and isinstance(b, str) for a, b in doc[key].items()),
-            f'"{key}" must map strings to strings',
-        )
-    return dict(doc["f"]), dict(doc["g"])

@@ -67,16 +67,21 @@ def verify(m: Morphism) -> tuple[bool, Witness | None]:
 
     Returns (True, None) when the morphism is transition preserving, else
     (False, (x, y2, s2)) with the lexicographically first counterexample in
-    source-state, target-state, target-symbol index order.
+    source-state, target-state, target-symbol index order.  Each source row
+    is pushed through (f, g) and compared as a dict with its target row
+    (neither keeps a zero), so the cost is O(m1 + sum over x of |row f(x)|).
     """
     src, tgt = m.source, m.target
     for x in src.states:
         pulled = image(src.kernel[x], m.f, m.g)
         fx_row = tgt.kernel[m.f[x]]
-        for y2 in tgt.states:
-            for s2 in tgt.alphabet:
-                if fx_row.get((y2, s2), ZERO) != pulled.get((y2, s2), ZERO):
-                    return False, (x, y2, s2)
+        if pulled != fx_row:
+            y2, s2 = min(
+                (key for key in pulled.keys() | fx_row.keys()
+                 if pulled.get(key) != fx_row.get(key)),
+                key=lambda e: (tgt.state_index[e[0]], tgt.symbol_index[e[1]]),
+            )
+            return False, (x, y2, s2)
     return True, None
 
 

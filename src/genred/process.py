@@ -93,13 +93,16 @@ def word_probability(gen: Generator, mu: Distribution, w: Word) -> Fraction:
     return Fraction(sum(vec.values()), mu_denom * kernel_denom ** len(w))
 
 
-def _table_entries(alphabet: tuple[str, ...], max_len: int) -> int:
-    total = 1
-    power = 1
+def _table_too_large(n_symbols: int, max_len: int, size_limit: int) -> bool:
+    """Whether the words up to ``max_len`` number more than ``size_limit``;
+    the count stops as soon as it passes the limit."""
+    total = power = 1
     for _ in range(max_len):
-        power *= len(alphabet)
+        if total > size_limit:
+            break
+        power *= n_symbols
         total += power
-    return total
+    return total > size_limit
 
 
 def word_distribution(
@@ -116,11 +119,8 @@ def word_distribution(
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     _check_distribution(gen, mu)
-    entries = _table_entries(gen.alphabet, max_len)
-    if entries > size_limit:
-        raise SizeLimitError(
-            f"table would hold {entries} entries, over the cap of {size_limit}"
-        )
+    if _table_too_large(len(gen.alphabet), max_len, size_limit):
+        raise SizeLimitError(f"table would hold more than {size_limit} entries")
     kernel_denom, rows = joint_rows((gen,), backward=False)
     mu_denom, vec0 = _scaled_initial(gen, mu)
     probs: dict[Word, Fraction] = {}

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,24 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path):
         assert run(["validate", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("field", ["from", "to", "symbol"])
+    def test_non_string_transition_field_is_usage_error(self, field, tmp_path, capsys):
+        gen, mu = catalog("golden-mean")
+        doc = json.loads(dump_generator(gen, mu))
+        for value in (["A"], {"A": "B"}):
+            doc["transitions"][0][field] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            for command in ("validate", "reduce", "causal"):
+                err = assert_usage_error(run([command, str(path)]), capsys)
+                assert "must be strings" in err
+
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        err = assert_usage_error(run(["validate", str(path)]), capsys)
+        assert err == f"{path}: invalid JSON: nested too deeply\n"
 
     def test_tolerance_flag(self, tmp_path):
         third = "0.333333333"
@@ -202,6 +221,23 @@ class TestWordsCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "exponent longer than 3 digits" in captured.err
+
+    def test_huge_max_len_is_one_short_line(self, fixture_file, capsys):
+        path = fixture_file("golden-mean")
+        start = time.perf_counter()
+        code = run(["words", path, "--max-len", "100000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "table would hold more than 1000000 entries\n"
+        assert elapsed < 1.0
+
+    def test_deeply_nested_initial_is_usage_error(self, fixture_file, capsys):
+        path = fixture_file("golden-mean")
+        spec = '{"A": ' + "[" * 200_000
+        code = run(["words", path, "--max-len", "1", "--initial", spec])
+        assert "bad initial spec" in assert_usage_error(code, capsys)
 
     def test_long_mantissa_initial_is_one_line(self, fixture_file, capsys):
         path = fixture_file("golden-mean")

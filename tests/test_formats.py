@@ -16,11 +16,9 @@ from genred import (
 from genred.formats import (
     dump_dot,
     dump_generator,
-    dump_morphism,
     dump_word_table,
     generator_document,
     parse_generator_text,
-    parse_morphism_text,
     parse_prob,
 )
 
@@ -161,6 +159,20 @@ class TestParsing:
         with pytest.raises(FileFormatError, match="invalid JSON"):
             parse_generator_text(text)
 
+    @pytest.mark.parametrize("field", ["from", "to", "symbol"])
+    def test_non_string_transition_field_rejected(self, field):
+        for value in (["q"], {"q": "q"}, 1):
+            doc = minimal_doc()
+            doc["transitions"][0][field] = value
+            with pytest.raises(FileFormatError, match="must be strings"):
+                parse_generator_text(json.dumps(doc))
+
+    def test_deep_nesting_is_invalid_json(self):
+        for text in ("[" * 200_000, '{"a": ' * 200_000):
+            with pytest.raises(FileFormatError, match="invalid JSON") as info:
+                parse_generator_text(text)
+            assert len(str(info.value)) < 100
+
     def test_parse_prob_forms(self):
         assert parse_prob("1/2") == Fraction(1, 2)
         assert parse_prob("0.125") == Fraction(1, 8)
@@ -242,23 +254,6 @@ class TestTextOutputs:
         assert '"st\\"ate"' in dot
 
 
-class TestMorphismFormat:
-    def test_round_trip(self):
-        f = {"A": "c_A", "B": "c_B", "C": "c_B"}
-        g = {"0": "0", "1": "1"}
-        text = dump_morphism(f, g)
-        f2, g2 = parse_morphism_text(text)
-        assert (f2, g2) == (f, g)
-
-    def test_strict_keys(self):
-        with pytest.raises(FileFormatError):
-            parse_morphism_text(json.dumps({"f": {}}))
-        with pytest.raises(FileFormatError):
-            parse_morphism_text(json.dumps({"f": {}, "g": {}, "h": {}}))
-        with pytest.raises(FileFormatError):
-            parse_morphism_text(json.dumps({"f": {"a": 1}, "g": {}}))
-
-
 class TestJsonSchema:
     def test_emitted_documents_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -287,7 +282,10 @@ class TestJsonSchema:
         longest, too_long = "0." + "0" * 4299 + "1", "0." + "0" * 4300 + "1"
         for prob, ok in (("1e-999", True), (".5E+3", True), ("1e-1000", False),
                          ("0.5e0001", False), ("1.e99999", False),
-                         (longest, True), (too_long, False)):
+                         (longest, True), (too_long, False),
+                         (" -1/2 ", True), ("1.", True), ("1_0/2_0", False),
+                         ("0.1_5", False), ("1e1_0", False), ("+1/2", False),
+                         ("1 / 2", False), ("1/ 2", False), ("١/٢", False)):
             doc = minimal_doc(initial={"q": prob})
             if ok:
                 jsonschema.validate(doc, schema)
