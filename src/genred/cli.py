@@ -21,6 +21,7 @@ from .formats import (
     dump_dot,
     dump_generator,
     dump_word_table,
+    exact_number,
     oversized,
     parse_generator_text,
     parse_prob,
@@ -231,7 +232,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         if reason is not None:
             raise _CommandFailure(2, f"bad rotation {name[:40]!r}: {reason}")
         try:
-            angle = Fraction(spec)
+            angle = exact_number(spec)
         except ZeroDivisionError:
             raise _CommandFailure(2, f"bad rotation {name[:40]!r}: zero denominator")
         except ValueError:

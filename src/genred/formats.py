@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -53,23 +54,37 @@ def oversized(text: str) -> str | None:
     return None
 
 
+def _echo(value: Any) -> str:
+    """A value from a file quoted in at most 40 characters, without
+    walking all of a long or deeply nested list."""
+    return repr(value[:40]) if isinstance(value, str) else reprlib.repr(value)[:40]
+
+
+def exact_number(text: str) -> Fraction:
+    """``Fraction(text)`` on the schema's probability language, the same on
+    every Python version.  Sizes are bounded by :func:`oversized`, not here."""
+    match = _PROB.fullmatch(text)
+    if not match:
+        raise ValueError("not an integer, n/d or decimal")
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1)) if num else Fraction(text)
+
+
 def parse_prob(text: Any) -> Fraction:
     """Exact probability from its file representation (a string).  Sizes
     are bounded by :func:`oversized`; error messages echo at most 40
     characters of the input."""
     if not isinstance(text, str):
-        raise FileFormatError(f"probability must be a string, got {text!r}")
+        raise FileFormatError(f"probability must be a string, got {_echo(text)}")
     reason = oversized(text)
-    match = _PROB.fullmatch(text) if reason is None else None
-    if match:
-        num, den = match.groups()
+    if reason is None:
         try:
-            return Fraction(int(num), int(den or 1)) if num else Fraction(text)
+            return exact_number(text)
         except ZeroDivisionError:
             reason = "zero denominator"
-    elif reason is None:
-        reason = "not an integer, n/d or decimal"
-    raise FileFormatError(f"bad probability {text[:40]!r}: {reason}")
+        except ValueError as exc:
+            reason = str(exc)
+    raise FileFormatError(f"bad probability {_echo(text)}: {reason}")
 
 
 def _load_json(text: str) -> Any:
@@ -83,9 +98,11 @@ def _load_json(text: str) -> Any:
         raise FileFormatError("invalid JSON: nested too deeply") from None
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *values: Any) -> None:
+    """Raise unless ``cond``; the ``values`` fill the ``{}`` slots of
+    ``message`` through :func:`_echo`, only on failure."""
     if not cond:
-        raise FileFormatError(message)
+        raise FileFormatError(message.format(*map(_echo, values)))
 
 
 def _name_list(raw: Any, field: str) -> list[str]:
@@ -106,7 +123,7 @@ def parse_generator_document(
     kernels can be loaded and reported."""
     _require(isinstance(doc, dict), "top level must be an object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
-    _require(not unknown, f"unknown keys {sorted(unknown)}")
+    _require(not unknown, "unknown keys {}", sorted(unknown))
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION}")
     states = _name_list(doc.get("states"), "states")
@@ -118,16 +135,16 @@ def parse_generator_document(
     for t in raw_transitions:
         _require(isinstance(t, dict), "each transition must be an object")
         _require(set(t) == {"from", "to", "symbol", "prob"},
-                 f"transition keys must be from/to/symbol/prob, got {sorted(t)}")
+                 "transition keys must be from/to/symbol/prob, got {}", sorted(t))
         src, dst, sym = t["from"], t["to"], t["symbol"]
         _require(type(src) is str and type(dst) is str and type(sym) is str,
                  "transition from, to and symbol must be strings")
-        _require(src in kernel, f"transition from unknown state {src!r}")
-        _require(dst in kernel, f"transition to unknown state {dst!r}")
-        _require(sym in symbols, f"transition on unknown symbol {sym!r}")
+        _require(src in kernel, "transition from unknown state {}", src)
+        _require(dst in kernel, "transition to unknown state {}", dst)
+        _require(sym in symbols, "transition on unknown symbol {}", sym)
         key = (dst, sym)
         _require(key not in kernel[src],
-                 f"duplicate transition {src!r} -> ({dst!r}, {sym!r})")
+                 "duplicate transition {} -> ({}, {})", src, dst, sym)
         kernel[src][key] = parse_prob(t["prob"])
     if tolerance is not None:
         for x, row in kernel.items():
@@ -142,7 +159,7 @@ def parse_generator_document(
         _require(isinstance(raw_initial, dict), "initial must be an object")
         initial = {}
         for x, p in raw_initial.items():
-            _require(x in kernel, f"initial weight for unknown state {x!r}")
+            _require(x in kernel, "initial weight for unknown state {}", x)
             initial[x] = parse_prob(p)
         if tolerance is not None:
             total = sum(initial.values(), Fraction(0))

@@ -23,14 +23,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping
 
-from .core import Distribution, Generator, Partition, Rows, joint_rows
+from .core import ZERO, Distribution, Generator, Partition, Rows, joint_rows
 from .errors import (
     AlphabetMismatchError,
     DistributionMismatchError,
     SizeLimitError,
     UnknownSymbolError,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, thresholds
 
 Word = tuple[str, ...]
 Vector = dict[int, int]  # sparse integer vector: index -> nonzero entry
@@ -122,19 +122,17 @@ def word_distribution(
     if _table_too_large(len(gen.alphabet), max_len, size_limit):
         raise SizeLimitError(f"table would hold more than {size_limit} entries")
     kernel_denom, rows = joint_rows((gen,), backward=False)
-    mu_denom, vec0 = _scaled_initial(gen, mu)
-    probs: dict[Word, Fraction] = {}
+    denom, vec0 = _scaled_initial(gen, mu)
+    probs: dict[Word, Fraction] = {(): Fraction(sum(vec0.values()), denom)}
     level: list[tuple[Word, Vector]] = [((), vec0)]
-    denom = mu_denom
-    probs[()] = Fraction(sum(vec0.values()), denom)
     for _ in range(max_len):
         denom *= kernel_denom
         next_level: list[tuple[Word, Vector]] = []
         for word, vec in level:
             for s, mat in rows.items():
                 extended = word + (s,)
-                advanced = _apply(vec, mat)
-                probs[extended] = Fraction(sum(advanced.values()), denom)
+                advanced = _apply(vec, mat) if vec else vec  # zero stays zero
+                probs[extended] = Fraction(sum(advanced.values()), denom) if advanced else ZERO
                 next_level.append((extended, advanced))
         level = next_level
     return WordTable(max_len=max_len, alphabet=gen.alphabet, probs=probs)
@@ -153,12 +151,13 @@ def sample(
     support = [x for x in gen.states if mu(x) != 0]
     state = rng.choose(support, [mu(x) for x in support])
     emitted: list[str] = []
-    ordered: dict[str, tuple[list, list]] = {}  # state -> (pairs, weights)
+    cached: dict[str, tuple[list, list[int]]] = {}  # state -> (pairs, thresholds)
     for _ in range(n):
-        if state not in ordered:
+        if state not in cached:
             row = gen.ordered_row(state)
-            ordered[state] = ([ys for ys, _ in row], [p for _, p in row])
-        state, symbol = rng.choose(*ordered[state])
+            cached[state] = ([ys for ys, _ in row], thresholds([p for _, p in row]))
+        pairs, cum = cached[state]
+        state, symbol = pairs[rng.draw(cum)]
         emitted.append(symbol)
     return tuple(emitted), state
 

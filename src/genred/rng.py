@@ -26,7 +26,9 @@ give equal streams.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -63,21 +65,25 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def choose(self, outcomes: Sequence[object], weights: Sequence[Fraction]) -> object:
-        """Exact draw from a rational distribution over ordered outcomes.
+    def draw(self, cum: Sequence[int]) -> int:
+        """Index of the first entry of ``cum``, built by :func:`thresholds`,
+        above ``below(cum[-1])``."""
+        return bisect_right(cum, self.below(cum[-1]))
 
-        Weights must be nonnegative and sum to one exactly.
-        """
-        if len(outcomes) != len(weights) or not outcomes:
-            raise ValueError("outcomes and weights must be equal-length and nonempty")
-        denom = lcm(*(w.denominator for w in weights))
-        scaled = [w.numerator * (denom // w.denominator) for w in weights]
-        if any(n < 0 for n in scaled) or sum(scaled) != denom:
-            raise ValueError("weights must be nonnegative and sum to 1 exactly")
-        r = self.below(denom)
-        acc = 0
-        for outcome, n in zip(outcomes, scaled):
-            acc += n
-            if r < acc:
-                return outcome
-        raise AssertionError("unreachable: cumulative weights cover [0, denom)")
+    def choose(self, outcomes: Sequence[object], weights: Sequence[Fraction]) -> object:
+        """Exact draw over ordered outcomes by nonnegative rational weights
+        that sum to one exactly."""
+        if len(outcomes) != len(weights):
+            raise ValueError("outcomes and weights must be equal-length")
+        return outcomes[self.draw(thresholds(weights))]
+
+
+def thresholds(weights: Sequence[Fraction]) -> list[int]:
+    """Cumulative numerators of ``weights`` at their lowest common
+    denominator d, so the last is d.  Weights must be nonnegative and sum
+    to one exactly."""
+    denom = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (denom // w.denominator) for w in weights]
+    if any(n < 0 for n in scaled) or sum(scaled) != denom:
+        raise ValueError("weights must be nonnegative and sum to 1 exactly")
+    return list(accumulate(scaled))

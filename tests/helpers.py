@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from genred import (
     DeterministicGenerator,
@@ -21,6 +22,7 @@ from genred import (
 )
 from genred.core import joint_rows
 from genred.process import _span
+from genred.rng import SplitMix64
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -110,6 +112,36 @@ def brute_word_probability(gen: Generator, mu: Distribution, word) -> Fraction:
         if w:
             walk(x, 0, w)
     return total
+
+
+def reference_sample(gen: Generator, mu: Distribution, n: int, seed: int):
+    """Referee for :func:`genred.sample`: the stream definition in
+    :mod:`genred.rng`, read one draw at a time.  Every draw, the initial one
+    and each step's, brings its weights to their lowest common denominator
+    d, takes r = ``below(d)`` and scans for the first outcome whose
+    cumulative numerator exceeds r.  Outcomes are states in index order,
+    then a row's (state, symbol) pairs by state index and symbol index,
+    rebuilt at every step."""
+    rng = SplitMix64(seed)
+
+    def choose(outcomes, weights):
+        d = lcm(*(w.denominator for w in weights))
+        r, acc = rng.below(d), 0
+        for outcome, w in zip(outcomes, weights):
+            acc += w.numerator * (d // w.denominator)
+            if r < acc:
+                return outcome
+        raise AssertionError("weights do not sum to one")
+
+    support = [x for x in gen.states if mu(x)]
+    state = choose(support, [mu(x) for x in support])
+    word = []
+    for _ in range(n):
+        row = gen.kernel[state]
+        pairs = [(y, s) for y in gen.states for s in gen.alphabet if (y, s) in row]
+        state, symbol = choose(pairs, [row[pair] for pair in pairs])
+        word.append(symbol)
+    return tuple(word), state
 
 
 def all_words(alphabet, max_len: int):

@@ -78,6 +78,30 @@ class TestValidateCommand:
                 err = assert_usage_error(run([command, str(path)]), capsys)
                 assert "must be strings" in err
 
+    def test_long_values_are_echoed_short(self, tmp_path, capsys):
+        gen, mu = catalog("golden-mean")
+        text = dump_generator(gen, mu)
+        long = "Z" * 100_000
+        nested = json.loads("[" * 900 + "]" * 900)
+        docs = []
+        for field, value in (
+            ("prob", list(range(100_000))), ("prob", nested), ("from", long),
+            ("to", long), ("symbol", long), (long, "1"),
+        ):
+            doc = json.loads(text)
+            doc["transitions"][0][field] = value
+            docs.append(doc)
+        docs.append(json.loads(text) | {long: 1})
+        docs.append(json.loads(text) | {"initial": {long: "1"}})
+        transition = {"from": long, "to": long, "symbol": "1", "prob": "1"}
+        docs.append({"format_version": 1, "states": [long], "alphabet": ["1"],
+                     "transitions": [transition, transition]})
+        path = tmp_path / "long.json"
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            err = assert_usage_error(run(["validate", str(path)]), capsys)
+            assert len(err) < len(str(path)) + 160
+
     def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 200_000)
@@ -351,6 +375,19 @@ class TestExampleCommand:
         assert run(["example", "rotation:sqrt2"]) == 1
         err = capsys.readouterr().err
         assert "no finite internal-event reduction" in err
+
+    def test_angle_language_is_the_schema_probability_language(self, capsys):
+        # Fraction(str) accepts "_" and a leading "+" on 3.11 and spaces
+        # around "/" on 3.12; the angle language is the same on every version
+        for spec in ("1_0/3_0", "+1/3", "1 / 3"):
+            assert run(["example", f"rotation:{spec}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert "no finite internal-event reduction" in captured.err
+        for spec in ("1/3", " 1/3 ", "-2/3", "0.25", "25e-2"):
+            assert run(["example", f"rotation:{spec}"]) == 0
+            capsys.readouterr()
 
     def test_zero_denominator_rotation_is_usage_error(self, capsys):
         code = run(["example", "rotation:1/0"])

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genred import (
     AlphabetMismatchError,
@@ -35,6 +37,7 @@ from helpers import (
     random_deterministic,
     random_distribution,
     random_generator,
+    reference_sample,
 )
 
 
@@ -177,6 +180,34 @@ class TestWordDistribution:
             names = [line.split(" ")[0] for line in dump_word_table(table).splitlines()]
             assert names == [word_name(w, gen.alphabet) for w in expected]
 
+    def test_zero_subtrees_match_path_sums(self):
+        golden, golden_mu = catalog("golden-mean")
+        dg = random_deterministic(random.Random(4040), n_states=9, n_symbols=3)
+        # "a" from p reaches p and n with entries 1 and -1: a nonempty vector
+        # of mass 0 whose extension "ab" has mass 1
+        signed = Generator(
+            ["p", "n"], ["a", "b"],
+            {"p": {("p", "a"): 1, ("n", "a"): -1, ("p", "b"): 1}, "n": {("n", "a"): 1}},
+        )
+        cases = [
+            (golden, golden_mu, 12),
+            (marked_cycle(5), Distribution.point("q0"), 7),
+            (from_deterministic(dg), Distribution.point("q0"), 6),
+            (signed, Distribution.point("p"), 6),
+        ]
+        for gen, mu, max_len in cases:
+            table = word_distribution(gen, mu, max_len)
+            words = list(all_words(gen.alphabet, max_len))
+            assert list(table.probs) == words
+            assert [table[w] for w in words] == [
+                brute_word_probability(gen, mu, w) for w in words
+            ]
+            if gen is not signed:
+                zeros = sum(1 for p in table.probs.values() if p == 0)
+                assert zeros > len(words) // 2
+        table = word_distribution(signed, Distribution.point("p"), 2)
+        assert (table[("a",)], table[("a", "b")]) == (0, 1)
+
 
 class TestSample:
     def test_zero_length(self):
@@ -211,6 +242,23 @@ class TestSample:
         assert "".join(word2) == "ababababab"
         assert final2 == "b"
 
+    def test_matches_step_by_step_referee(self):
+        rnd = random.Random(7070)
+        wide = random_generator(rnd, n_states=50, n_symbols=3, denom=60)
+        assert sum(len(row) for row in wide.kernel.values()) > 40 * 50
+        lifted, _ = lift(rnd, random_generator(rnd, max_states=5, max_symbols=3), 3)
+        cases = [
+            (wide, Distribution.uniform(wide.states), 2000),
+            (wide, random_distribution(rnd, wide.states, denom=60), 2000),
+            (lifted, Distribution.uniform(lifted.states), 2000),
+            (lifted, random_distribution(rnd, lifted.states), 2000),
+            (marked_cycle(7), Distribution.point("q3"), 100),
+            (marked_cycle(7), random_distribution(rnd, marked_cycle(7).states), 100),
+        ]
+        for gen, mu, n in cases:
+            for seed in (0, 7, 2**64 - 1):
+                assert sample(gen, mu, n, seed) == reference_sample(gen, mu, n, seed)
+
     def test_empirical_frequencies_near_exact(self):
         gen, mu = catalog("randomness-2")
         n = 100_000
@@ -224,6 +272,15 @@ class TestSample:
             if len(w) == 3:
                 freq = counts.get(w, 0) / n
                 assert abs(freq - p) < 3 * sigma, (w, freq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-(2**64), 2**65), st.integers(0, 60))
+def test_sample_matches_referee_property(gen_seed, seed, n):
+    rnd = random.Random(gen_seed)
+    gen = random_generator(rnd, max_states=5, max_symbols=3, denom=rnd.choice((1, 2, 6, 60)))
+    mu = random_distribution(rnd, gen.states)
+    assert sample(gen, mu, n, seed) == reference_sample(gen, mu, n, seed)
 
 
 class TestEquivalent:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from genred.rng import SplitMix64
+from genred.rng import SplitMix64, thresholds
 
 
 class TestSplitMix64:
@@ -51,3 +51,27 @@ class TestSplitMix64:
             r.choose(["a", "b"], [Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(ValueError):
             r.choose([], [])
+
+    def test_choose_pinned_draws_with_a_zero_weight(self):
+        # frozen on the per-draw linear scan that preceded the cached
+        # thresholds; a zero weight is never drawn
+        weights = [Fraction(1, 3), Fraction(0), Fraction(1, 2), Fraction(1, 6)]
+        r = SplitMix64(2024)
+        draws = "".join(r.choose("xyzw", weights) for _ in range(40))
+        assert draws == "xzzxzxwzzxwwzxzwzzwzzzxxzxxzzzzzwwxwxzzx"
+
+    def test_thresholds_are_cumulative_numerators(self):
+        weights = [Fraction(1, 4), Fraction(0), Fraction(1, 6), Fraction(7, 12)]
+        assert thresholds(weights) == [3, 3, 5, 12]
+        assert thresholds([Fraction(1)]) == [1]
+        for bad in ([], [Fraction(1, 2)], [Fraction(3, 2), Fraction(-1, 2)]):
+            with pytest.raises(ValueError):
+                thresholds(bad)
+
+    def test_draw_from_thresholds_matches_choose(self):
+        weights = [Fraction(1, 3), Fraction(0), Fraction(1, 2), Fraction(1, 6)]
+        r1, r2 = SplitMix64(99), SplitMix64(99)
+        cum = thresholds(weights)
+        assert ["xyzw"[r1.draw(cum)] for _ in range(200)] == [
+            r2.choose("xyzw", weights) for _ in range(200)
+        ]
