@@ -16,7 +16,13 @@ from fractions import Fraction
 
 from .catalog import FIXTURE_NAMES, arc_length_distribution, catalog, rational_rotation
 from .core import Distribution, Generator, from_deterministic, pushforward, validate
-from .errors import FileFormatError, GenredError, SizeLimitError
+from .errors import (
+    DistributionMismatchError,
+    FileFormatError,
+    GenredError,
+    SizeLimitError,
+    echo,
+)
 from .formats import (
     dump_dot,
     dump_generator,
@@ -29,6 +35,7 @@ from .formats import (
 )
 from .process import (
     DEFAULT_SIZE_LIMIT,
+    _check_distribution,
     causal_state_partition,
     sample,
     shortest_distinguishing_word,
@@ -88,7 +95,8 @@ def _resolve_initial(
     gen: Generator, spec: str | None, file_initial: dict | None, path: str
 ) -> Distribution:
     """Initial distribution precedence: explicit flag, then the file's
-    `initial` object, then uniform over all states."""
+    `initial` object, then uniform over all states.  A bad distribution,
+    weight on a non-state included, fails with exit 1 under ``path``."""
     try:
         if spec is not None:
             if spec == "uniform":
@@ -100,16 +108,18 @@ def _resolve_initial(
                     raise _CommandFailure(2, f"bad initial spec: {exc}")
                 if not isinstance(doc, dict):
                     raise _CommandFailure(2, "initial spec object must map states to probs")
-                return Distribution({x: parse_prob(p) for x, p in doc.items()})
+                mu = Distribution({x: parse_prob(p) for x, p in doc.items()})
+                _check_distribution(gen, mu)
+                return mu
             if spec in gen.state_index:
                 return Distribution.point(spec)
             raise _CommandFailure(
-                2, f"bad initial spec {spec!r}: not 'uniform', a state, or a JSON object"
+                2, f"bad initial spec {echo(spec)}: not 'uniform', a state, or a JSON object"
             )
         if file_initial is not None:
             return Distribution(file_initial)
         return Distribution.uniform(gen.states)
-    except (ValueError, FileFormatError) as exc:
+    except (ValueError, FileFormatError, DistributionMismatchError) as exc:
         raise _CommandFailure(1, f"{path}: bad initial distribution: {exc}")
 
 
@@ -230,15 +240,15 @@ def _cmd_example(args: argparse.Namespace) -> int:
         spec = name[len("rotation:"):]
         reason = oversized(spec)
         if reason is not None:
-            raise _CommandFailure(2, f"bad rotation {name[:40]!r}: {reason}")
+            raise _CommandFailure(2, f"bad rotation {echo(name)}: {reason}")
         try:
             angle = exact_number(spec)
         except ZeroDivisionError:
-            raise _CommandFailure(2, f"bad rotation {name[:40]!r}: zero denominator")
+            raise _CommandFailure(2, f"bad rotation {echo(name)}: zero denominator")
         except ValueError:
             raise _CommandFailure(
                 1,
-                f"cannot build {name[:40]!r}: only rational rotations are supported; "
+                f"cannot build {echo(name)}: only rational rotations are supported; "
                 "an irrational angle keeps infinitely many distinguishable arc "
                 "events, so no finite internal-event reduction exists",
             )
@@ -246,7 +256,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         if angle.denominator > MAX_ROTATION_DENOMINATOR:
             raise _CommandFailure(
                 2,
-                f"bad rotation {name[:40]!r}: denominator over "
+                f"bad rotation {echo(name)}: denominator over "
                 f"{MAX_ROTATION_DENOMINATOR}",
             )
         model, machine = rational_rotation(angle.numerator, angle.denominator)

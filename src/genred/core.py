@@ -28,6 +28,7 @@ from .errors import (
     EmptyRelationError,
     UnknownStateError,
     UnknownSymbolError,
+    echo,
 )
 
 RatLike = Fraction | int | str
@@ -138,7 +139,7 @@ class Distribution:
         for x, w in weights.items():
             value = as_fraction(w)
             if value < 0 or value > 1:
-                raise ValueError(f"weight of {x!r} is {value}, outside [0, 1]")
+                raise ValueError(f"weight of {echo(x)} is {value}, outside [0, 1]")
             if value != 0:
                 cleaned[str(x)] = value
         total = sum(cleaned.values(), ZERO)
@@ -329,20 +330,21 @@ def validate(gen: Generator) -> list[str]:
     seen: set[str] = set()
     for x in gen.states:
         if x in seen:
-            report.append(f"duplicate state name {x}")
+            report.append(f"duplicate state name {echo(x, quote=False)}")
         seen.add(x)
     seen.clear()
     for s in gen.alphabet:
         if s in seen:
-            report.append(f"duplicate symbol name {s}")
+            report.append(f"duplicate symbol name {echo(s, quote=False)}")
         seen.add(s)
     for x in gen.states:
         for (y, s), p in gen.kernel[x].items():
             if p < 0 or p > 1:
-                report.append(f"entry {x} -> ({y}, {s}) = {fraction_str(p)} outside [0, 1]")
+                x_, y_, s_ = (echo(name, quote=False) for name in (x, y, s))
+                report.append(f"entry {x_} -> ({y_}, {s_}) = {fraction_str(p)} outside [0, 1]")
         total = sum(gen.kernel[x].values(), ZERO)
         if total != 1:
-            report.append(f"row {x} sums to {fraction_str(total)}")
+            report.append(f"row {echo(x, quote=False)} sums to {fraction_str(total)}")
     return report
 
 

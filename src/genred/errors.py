@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bound on the values
+that their messages echo."""
+
+import reprlib
+from typing import Any
+
+ECHO_LIMIT = 40
+
+
+def echo(value: Any, quote: bool = True) -> str:
+    """``value`` cut to :data:`ECHO_LIMIT` characters for a one-line message:
+    a string as its repr (as itself if not ``quote``), anything else as its
+    ``reprlib.repr``, which does not walk all of a long or nested list."""
+    if isinstance(value, str):
+        return repr(value[:ECHO_LIMIT]) if quote else value[:ECHO_LIMIT]
+    return reprlib.repr(value)[:ECHO_LIMIT]
 
 
 class GenredError(Exception):

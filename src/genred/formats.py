@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import re
-import reprlib
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .core import Distribution, Generator, fraction_str
-from .errors import FileFormatError
+from .errors import FileFormatError, echo
 from .process import Word, WordTable
 
 FORMAT_VERSION = 1
@@ -54,12 +53,6 @@ def oversized(text: str) -> str | None:
     return None
 
 
-def _echo(value: Any) -> str:
-    """A value from a file quoted in at most 40 characters, without
-    walking all of a long or deeply nested list."""
-    return repr(value[:40]) if isinstance(value, str) else reprlib.repr(value)[:40]
-
-
 def exact_number(text: str) -> Fraction:
     """``Fraction(text)`` on the schema's probability language, the same on
     every Python version.  Sizes are bounded by :func:`oversized`, not here."""
@@ -75,7 +68,7 @@ def parse_prob(text: Any) -> Fraction:
     are bounded by :func:`oversized`; error messages echo at most 40
     characters of the input."""
     if not isinstance(text, str):
-        raise FileFormatError(f"probability must be a string, got {_echo(text)}")
+        raise FileFormatError(f"probability must be a string, got {echo(text)}")
     reason = oversized(text)
     if reason is None:
         try:
@@ -84,7 +77,7 @@ def parse_prob(text: Any) -> Fraction:
             reason = "zero denominator"
         except ValueError as exc:
             reason = str(exc)
-    raise FileFormatError(f"bad probability {_echo(text)}: {reason}")
+    raise FileFormatError(f"bad probability {echo(text)}: {reason}")
 
 
 def _load_json(text: str) -> Any:
@@ -100,9 +93,9 @@ def _load_json(text: str) -> Any:
 
 def _require(cond: bool, message: str, *values: Any) -> None:
     """Raise unless ``cond``; the ``values`` fill the ``{}`` slots of
-    ``message`` through :func:`_echo`, only on failure."""
+    ``message`` through :func:`~genred.errors.echo`, only on failure."""
     if not cond:
-        raise FileFormatError(message.format(*map(_echo, values)))
+        raise FileFormatError(message.format(*map(echo, values)))
 
 
 def _name_list(raw: Any, field: str) -> list[str]:

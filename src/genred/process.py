@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, lcm
 from typing import Iterator, Mapping
 
@@ -29,6 +30,7 @@ from .errors import (
     DistributionMismatchError,
     SizeLimitError,
     UnknownSymbolError,
+    echo,
 )
 from .rng import SplitMix64, thresholds
 
@@ -66,7 +68,7 @@ def _check_distribution(gen: Generator, mu: Distribution) -> None:
     extra = [x for x in mu.support if x not in gen.state_index]
     if extra:
         raise DistributionMismatchError(
-            f"distribution supported on non-states {extra}"
+            f"distribution supported on non-states {echo(extra)}"
         )
 
 
@@ -224,7 +226,7 @@ def _first_difference(
     """
     if set(gen1.alphabet) != set(gen2.alphabet):
         raise AlphabetMismatchError(
-            f"alphabets differ: {sorted(gen1.alphabet)} vs {sorted(gen2.alphabet)}"
+            f"alphabets differ: {echo(sorted(gen1.alphabet))} vs {echo(sorted(gen2.alphabet))}"
         )
     _check_distribution(gen1, mu1)
     _check_distribution(gen2, mu2)
@@ -253,30 +255,28 @@ def shortest_distinguishing_word(
     processes disagree, or None when they are equivalent.  Inequivalent
     processes disagree within length |Q1| + |Q2|.
 
-    Polynomial (Kiefer et al., LMCS 2013): the forward closure gives the
-    length L.  With eta the vector giving mass on the first machine minus
-    mass on the second, the backward layers B_r = span{M_w eta : |w| = r}
-    for r < L then guide a descent that extends the prefix u by the first
-    symbol s for which mu M_us is not annihilated by B_{L-|u|-1}.
+    Polynomial (Kiefer et al., LMCS 2013): the forward closure decides
+    equivalence and gives the length L.  With eta the vector giving mass
+    on the first machine minus mass on the second, the backward closure of
+    eta up to depth L - 1 guides a descent that extends the prefix u by the
+    first symbol s for which mu M_us is not annihilated by the closure's
+    vectors of depth <= L - |u| - 1; mu M_us annihilates all M_v eta with
+    |v| < L - |u| - 1, so this tests the exact layer of words of that length.
     """
     length, vec, forward = _first_difference(gen1, mu1, gen2, mu2)
     if length is None:
         return None
     n1, n = len(gen1.states), len(gen1.states) + len(gen2.states)
-    layers: list[Basis] = [[]]
-    _insert(layers[0], {j: 1 if j < n1 else -1 for j in range(n)})
     _, back = joint_rows((gen1, gen2), backward=True)
-    while len(layers) < length:
-        layer: Basis = []
-        for _, base in layers[-1]:
-            for mat in back.values():
-                _insert(layer, _apply(base, mat))
-        layers.append(layer)
+    eta = {j: 1 if j < n1 else -1 for j in range(n)}
+    basis = list(takewhile(lambda entry: entry[0] < length, _span(eta, back)))
     word = []
-    for layer in reversed(layers[:length]):
+    for depth in reversed(range(length)):
+        while basis[-1][0] > depth:
+            basis.pop()
         for s, mat in forward.items():
             child = _apply(vec, mat)
-            if any(sum(v * b.get(j, 0) for j, v in child.items()) for _, b in layer):
+            if any(sum(v * b.get(j, 0) for j, v in child.items()) for _, b in basis):
                 word.append(s)
                 vec = child
                 break

@@ -8,7 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from genred import catalog
+from genred import Distribution, catalog
+from helpers import marked_cycle
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -45,3 +46,22 @@ def test_counts_read_the_reduction_result_shapes():
         result = getattr(reduce, fn)(gen)
         counts = tracing._count(f"reduce.{fn}", (gen,), result, False)
         assert counts == {"reduce.states_in": 3, "reduce.states_out": 2}, fn
+
+
+def test_counts_read_the_process_result_shapes():
+    tracing = _tracing()
+    process = importlib.import_module("genred.process")
+
+    def count(fn, *args):
+        return tracing._count(f"process.{fn}", args, getattr(process, fn)(*args), False)
+
+    start = Distribution.point("q0")
+    for n in (3, 7):
+        short, long_ = marked_cycle(n), marked_cycle(n + 1)
+        assert count("shortest_distinguishing_word", short, start, long_, start) == {
+            "process.witness_len": n
+        }
+        assert count("shortest_distinguishing_word", short, start, short, start) == {}
+        assert count("causal_state_partition", long_) == {"process.causal_classes": n + 1}
+    gen, mu = catalog("golden-mean")
+    assert count("word_distribution", gen, mu, 3) == {"process.table_entries": 15}

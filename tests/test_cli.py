@@ -102,6 +102,20 @@ class TestValidateCommand:
             err = assert_usage_error(run(["validate", str(path)]), capsys)
             assert len(err) < len(str(path)) + 160
 
+    def test_long_state_name_in_report_is_cut(self, tmp_path, capsys):
+        name = "Z" * 100_000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "states": [name], "alphabet": ["a"],
+            "transitions": [{"from": name, "to": name, "symbol": "a", "prob": "1/2"}],
+        }))
+        assert run(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"row {'Z' * 40} sums to 1/2\n"
+        assert run(["words", str(path), "--max-len", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: row {'Z' * 40} sums to 1/2\n"
+
     def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 200_000)
@@ -304,6 +318,28 @@ class TestWordsCommand:
         monkeypatch.setenv("GENRED_SIZE_LIMIT", "-5")
         code = run(["words", fixture_file("golden-mean"), "--max-len", "1"])
         assert "GENRED_SIZE_LIMIT" in assert_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"zz": "1"}',
+    json.dumps({f"n{i}": "1/20000" for i in range(20_000)}),
+])
+def test_initial_on_non_states_exits_one_on_every_command(spec, fixture_file, capsys):
+    path = fixture_file("golden-mean")
+    for argv in (
+        ["equiv", path, path, "--muA", spec],
+        ["equiv", path, path, "--muB", spec],
+        ["words", path, "--max-len", "1", "--initial", spec],
+        ["sample", path, "--n", "1", "--initial", spec],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{path}: bad initial distribution: "
+                               "distribution supported on non-states ['")
+        assert len(line) < 300
 
 
 class TestEquivCommand:

@@ -59,6 +59,20 @@ class TestValidate:
         assert any("outside [0, 1]" in line for line in report)
         assert any("row q sums to 3/2" in line for line in report)
 
+    def test_long_names_are_cut_to_forty_characters(self):
+        state, symbol = "q" * 100_000, "h" * 100_000
+        gen = Generator([state, state], [symbol, symbol],
+                        {state: {(state, symbol): Fraction(3, 2)}})
+        q, h = "q" * 40, "h" * 40
+        assert validate(gen) == [
+            f"duplicate state name {q}",
+            f"duplicate symbol name {h}",
+            f"entry {q} -> ({q}, {h}) = 3/2 outside [0, 1]",
+            f"row {q} sums to 3/2",
+            f"entry {q} -> ({q}, {h}) = 3/2 outside [0, 1]",
+            f"row {q} sums to 3/2",
+        ]
+
     def test_missing_row_reported_as_zero_sum(self):
         gen = Generator(["q", "r"], ["h"], {"q": {("r", "h"): 1}})
         assert validate(gen) == ["row r sums to 0/1"]
@@ -211,6 +225,13 @@ class TestDistributions:
             Distribution({"a": Fraction(1, 2), "b": Fraction(1, 3)})
         with pytest.raises(ValueError):
             Distribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+
+    def test_out_of_range_weight_message_is_short(self):
+        with pytest.raises(ValueError, match="^weight of 'a' is 3/2, outside"):
+            Distribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+        with pytest.raises(ValueError) as exc:
+            Distribution({"Z" * 100_000: 2})
+        assert str(exc.value) == f"weight of {'Z' * 40!r} is 2, outside [0, 1]"
 
     def test_pushforward_identity(self):
         d = Distribution({"a": Fraction(1, 4), "b": Fraction(3, 4)})

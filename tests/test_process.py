@@ -356,8 +356,22 @@ class TestEquivalent:
     def test_alphabet_mismatch(self):
         gen1, mu1 = catalog("golden-mean")
         gen2, mu2 = catalog("randomness-2")
-        with pytest.raises(AlphabetMismatchError):
+        with pytest.raises(AlphabetMismatchError, match=r"\['0', '1'\] vs \['a', 'b'\]"):
             equivalent(gen1, mu1, gen2, mu2)
+
+    def test_mismatch_messages_are_short(self):
+        gen1, gen2 = (
+            Generator(["q"], [s * 100_000], {"q": {("q", s * 100_000): 1}}) for s in "ab"
+        )
+        mu = Distribution.point("q")
+        with pytest.raises(AlphabetMismatchError) as exc:
+            equivalent(gen1, mu, gen2, mu)
+        assert len(str(exc.value)) < 300
+        many = Distribution({f"n{i}": Fraction(1, 20_000) for i in range(20_000)})
+        with pytest.raises(DistributionMismatchError) as exc:
+            word_probability(gen1, many, ())
+        assert str(exc.value).startswith("distribution supported on non-states ['n0', ")
+        assert len(str(exc.value)) < 300
 
 
 class TestCausalStates:

@@ -1,7 +1,7 @@
 """Differential tests of the exact span closure and the polynomial witness.
 
 ``equivalent``, ``shortest_distinguishing_word`` and
-``causal_state_partition`` share one integer echelon basis; every answer
+``causal_state_partition`` share one integer span closure; every answer
 here is refereed by the exhaustive breadth-first search in
 ``helpers.bfs_distinguishing_word``, which works on Fraction state vectors
 and knows nothing of bases.
@@ -12,6 +12,7 @@ import time
 
 from genred import (
     Distribution,
+    Generator,
     causal_state_partition,
     delta,
     equivalent,
@@ -114,6 +115,30 @@ class TestWitnessAgainstBfs:
                 lengths.append(0 if witness is None else len(witness))
         assert max(lengths) > 2
 
+    def test_second_alphabet_in_reverse_order(self):
+        # The joint rows are keyed by the first machine's alphabet order.
+        rnd = random.Random(2020)
+        answers = set()
+        for _ in range(40):
+            k = rnd.randint(2, 3)
+            gen1 = random_generator(rnd, max_states=4, n_symbols=k)
+            gen2 = random_generator(rnd, max_states=4, n_symbols=k)
+            base = near_equivalent_base(rnd)
+            lifted, quotient = lift(rnd, base, 2)
+            mu = random_distribution(rnd, lifted.states)
+            pairs = [
+                (gen1, random_distribution(rnd, gen1.states),
+                 gen2, random_distribution(rnd, gen2.states)),
+                (lifted, mu, base, pushforward(mu, quotient)),
+            ]
+            changed = perturb(rnd, lifted, quotient)
+            if changed is not None:
+                pairs.append((changed, mu, base, pushforward(mu, quotient)))
+            for g1, m1, g2, m2 in pairs:
+                reverse = Generator(g2.states, g2.alphabet[::-1], g2.kernel)
+                answers.add(assert_matches_referee(g1, m1, reverse, m2) is None)
+        assert answers == {True, False}
+
 
 class TestCausalAgainstPairwise:
     def test_lifts_and_perturbed_lifts(self):
@@ -143,3 +168,13 @@ def test_witness_is_polynomial_on_long_cycles():
     )
     assert witness == ("a",) * 40
     assert time.perf_counter() - start < 10.0
+
+
+def test_witness_is_fast_on_cycles_of_600():
+    short, long_ = marked_cycle(600), marked_cycle(601)
+    start = time.perf_counter()
+    witness = shortest_distinguishing_word(
+        short, Distribution.point("q0"), long_, Distribution.point("q0")
+    )
+    assert witness == ("a",) * 600
+    assert time.perf_counter() - start < 3.0
