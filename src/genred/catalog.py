@@ -18,7 +18,7 @@ from .core import (
     as_fraction,
     from_deterministic,
 )
-from .errors import RowNotNormalizedError, UnknownFixtureError
+from .errors import RowNotNormalizedError, UnknownFixtureError, echo_number
 from .formats import word_separator
 
 FIXTURE_NAMES = (
@@ -143,7 +143,7 @@ def markov_shift(
         total = sum(row.values(), ZERO)
         if total != 1:
             raise RowNotNormalizedError(
-                f"conditional row of {names[w]!r} sums to {total}"
+                f"conditional row of {names[w]!r} sums to {echo_number(total)}"
             )
         kernel[names[w]] = {
             (names[w[1:] + (s,)], s): p for s, p in row.items() if p != 0

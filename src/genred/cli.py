@@ -9,26 +9,26 @@ given `--seed`.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 
 from .catalog import FIXTURE_NAMES, arc_length_distribution, catalog, rational_rotation
-from .core import Distribution, Generator, from_deterministic, pushforward, validate
-from .errors import (
-    DistributionMismatchError,
-    FileFormatError,
-    GenredError,
-    SizeLimitError,
-    echo,
+from .core import (
+    Distribution,
+    Generator,
+    as_fraction,
+    fraction_str,
+    from_deterministic,
+    pushforward,
+    validate,
 )
+from .errors import DistributionMismatchError, FileFormatError, GenredError, echo
 from .formats import (
     dump_dot,
     dump_generator,
     dump_word_table,
-    exact_number,
-    oversized,
+    load_json,
     parse_generator_text,
     parse_prob,
     word_name,
@@ -103,11 +103,9 @@ def _resolve_initial(
                 return Distribution.uniform(gen.states)
             if spec.lstrip().startswith("{"):
                 try:
-                    doc = json.loads(spec)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                    doc = load_json(spec)  # a dict: the text starts with "{"
+                except FileFormatError as exc:
                     raise _CommandFailure(2, f"bad initial spec: {exc}")
-                if not isinstance(doc, dict):
-                    raise _CommandFailure(2, "initial spec object must map states to probs")
                 mu = Distribution({x: parse_prob(p) for x, p in doc.items()})
                 _check_distribution(gen, mu)
                 return mu
@@ -198,10 +196,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
     limit = _size_limit(args)
     gen, file_initial = _load_valid_generator(args.path, args)
     mu = _resolve_initial(gen, args.initial, file_initial, args.path)
-    try:
-        table = word_distribution(gen, mu, args.max_len, limit)
-    except SizeLimitError as exc:
-        raise _CommandFailure(1, str(exc))
+    table = word_distribution(gen, mu, args.max_len, limit)
     sys.stdout.write(dump_word_table(table))
     return 0
 
@@ -220,11 +215,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         return 0
     p1 = word_probability(gen1, mu1, witness)
     p2 = word_probability(gen2, mu2, witness)
-    print(
-        "not equivalent: word "
-        f"{word_name(witness, gen1.alphabet)} has probability "
-        f"{p1.numerator}/{p1.denominator} vs {p2.numerator}/{p2.denominator}"
-    )
+    print(f"not equivalent: word {word_name(witness, gen1.alphabet)} has probability "
+          f"{fraction_str(p1)} vs {fraction_str(p2)}")
     return 1
 
 
@@ -238,13 +230,10 @@ def _cmd_example(args: argparse.Namespace) -> int:
     name = args.name
     if name.startswith("rotation:"):
         spec = name[len("rotation:"):]
-        reason = oversized(spec)
-        if reason is not None:
-            raise _CommandFailure(2, f"bad rotation {echo(name)}: {reason}")
         try:
-            angle = exact_number(spec)
-        except ZeroDivisionError:
-            raise _CommandFailure(2, f"bad rotation {echo(name)}: zero denominator")
+            angle = as_fraction(spec)
+        except ArithmeticError as exc:  # oversized, or a zero denominator
+            raise _CommandFailure(2, f"bad rotation {echo(name)}: {exc}")
         except ValueError:
             raise _CommandFailure(
                 1,
@@ -263,10 +252,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         gen = from_deterministic(machine)
         sys.stdout.write(dump_generator(gen, arc_length_distribution(model)))
         return 0
-    try:
-        gen, mu = catalog(name)
-    except GenredError as exc:
-        raise _CommandFailure(1, str(exc))
+    gen, mu = catalog(name)
     sys.stdout.write(dump_generator(gen, mu))
     return 0
 

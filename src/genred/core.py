@@ -19,6 +19,7 @@ pure functions; instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +30,7 @@ from .errors import (
     UnknownStateError,
     UnknownSymbolError,
     echo,
+    echo_number,
 )
 
 RatLike = Fraction | int | str
@@ -37,11 +39,60 @@ Rows = list[list[tuple[int, int]]]  # per-index lists of (index, entry)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Fraction("1e-4000000") alone takes seconds: bound the digits of an exponent.
+MAX_EXPONENT_DIGITS = 3
+# Python's default cap on an int conversion; bounded here so that the
+# message is one short line rather than Python's hint with the input echoed.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]*)")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+# The number language of strings, without its size bounds: ASCII digits,
+# an optional "-", no "+", no "_", and no whitespace inside.  Fraction(str)
+# accepts more, and what more depends on the Python version.  The groups
+# hold the numerator and denominator of an integer or "n/d" string.
+_PROB = re.compile(
+    r"\s*(?:(-?[0-9]+)(?:/([0-9]+))?|-?[0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|-?[0-9]+\.?(?:[eE][+-]?[0-9]+)?)\s*"
+)
+
+
+def oversized(text: str) -> str | None:
+    """Why ``text`` is too large to read, or None: an exponent over
+    :data:`MAX_EXPONENT_DIGITS` digits, or a run of more than
+    :data:`MAX_DIGITS` digits."""
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent.group(1)) > MAX_EXPONENT_DIGITS:
+        return f"exponent longer than {MAX_EXPONENT_DIGITS} digits"
+    if len(text) > MAX_DIGITS and any(
+        len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(text)
+    ):
+        return f"more than {MAX_DIGITS} digits"
+    return None
+
 
 def as_fraction(value: RatLike) -> Fraction:
-    """Coerce an exact value (Fraction, int, or string like "1/2" or "0.25")
-    to a Fraction.  Floats are rejected: they carry binary rounding error and
-    must be converted to decimal strings by the caller first."""
+    """The one reader of exact values: a Fraction as it is, an int, or a
+    string in the number language of files and flags ("-3", "1/2", "0.25",
+    "25e-2"), the same on every Python version.  A string raises
+    ``OverflowError`` if :func:`oversized`, ``ZeroDivisionError`` on a zero
+    denominator, ``ValueError`` outside the language.  Floats carry binary
+    rounding error and are refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        reason = oversized(value)
+        if reason is not None:
+            raise OverflowError(reason)
+        match = _PROB.fullmatch(value)
+        if not match:
+            raise ValueError("not an integer, n/d or decimal")
+        num, den = match.groups()
+        if not num:
+            return Fraction(value)
+        den = int(den) if den else 1
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return Fraction(int(num), den)
     if isinstance(value, float):
         raise TypeError(
             f"refusing inexact float {value!r}; pass a string such as {str(value)!r}"
@@ -49,9 +100,27 @@ def as_fraction(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def _digits(n: int) -> str:
+    """Decimal text of ``n``, also past Python's int-to-str digit cap, which
+    is process-wide and stays as it is: a longer int is split at a power of
+    ten near half its digits."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _digits(-n)
+        half = n.bit_length() * 3 // 20  # about half of n's digits
+        high, low = divmod(n, 10**half)
+        return _digits(high) + _digits(low).zfill(half)
+
+
 def fraction_str(value: Fraction) -> str:
-    """Render a Fraction as "n/d" with the denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as "n/d" with the denominator always present,
+    exactly, however many digits it has."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # over Python's int-to-str digit cap
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def _nonempty_names(names: Sequence[str], kind: str) -> tuple[str, ...]:
@@ -139,12 +208,12 @@ class Distribution:
         for x, w in weights.items():
             value = as_fraction(w)
             if value < 0 or value > 1:
-                raise ValueError(f"weight of {echo(x)} is {value}, outside [0, 1]")
+                raise ValueError(f"weight of {echo(x)} is {echo_number(value)}, outside [0, 1]")
             if value != 0:
                 cleaned[str(x)] = value
         total = sum(cleaned.values(), ZERO)
         if total != 1:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
+            raise ValueError(f"weights sum to {echo_number(total)}, expected exactly 1")
         self.weights = cleaned
 
     @classmethod
@@ -341,10 +410,11 @@ def validate(gen: Generator) -> list[str]:
         for (y, s), p in gen.kernel[x].items():
             if p < 0 or p > 1:
                 x_, y_, s_ = (echo(name, quote=False) for name in (x, y, s))
-                report.append(f"entry {x_} -> ({y_}, {s_}) = {fraction_str(p)} outside [0, 1]")
+                p_ = echo_number(p, slash=True)
+                report.append(f"entry {x_} -> ({y_}, {s_}) = {p_} outside [0, 1]")
         total = sum(gen.kernel[x].values(), ZERO)
         if total != 1:
-            report.append(f"row {echo(x, quote=False)} sums to {fraction_str(total)}")
+            report.append(f"row {echo(x, quote=False)} sums to {echo_number(total, slash=True)}")
     return report
 
 

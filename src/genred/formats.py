@@ -12,75 +12,31 @@ to one; rows further off still fail validation.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .core import Distribution, Generator, fraction_str
+from .core import MAX_DIGITS, ZERO, Distribution, Generator, as_fraction, fraction_str
 from .errors import FileFormatError, echo
 from .process import Word, WordTable
 
 FORMAT_VERSION = 1
 
-# Fraction("1e-4000000") alone takes seconds: bound the digits of an exponent.
-MAX_EXPONENT_DIGITS = 3
-# Python's default cap on an int conversion; bounded here so that the
-# message is one short line rather than Python's hint with the input echoed.
-MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"[eE][+-]?([\d_]*)")
-_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
-# The schema's probability language without its size bounds: ASCII digits,
-# an optional "-", no "+", no "_", and no whitespace inside.  Fraction alone
-# accepts more, and what more depends on the Python version.  The groups
-# hold the numerator and denominator of an integer or "n/d" string.
-_PROB = re.compile(
-    r"\s*(?:(-?[0-9]+)(?:/([0-9]+))?|-?[0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-    r"|-?[0-9]+\.?(?:[eE][+-]?[0-9]+)?)\s*"
-)
-
-
-def oversized(text: str) -> str | None:
-    """Why ``Fraction(text)`` would be too large to build, or None: an
-    exponent over :data:`MAX_EXPONENT_DIGITS` digits, or a run of more than
-    :data:`MAX_DIGITS` digits."""
-    exponent = _EXPONENT.search(text)
-    if exponent and len(exponent.group(1)) > MAX_EXPONENT_DIGITS:
-        return f"exponent longer than {MAX_EXPONENT_DIGITS} digits"
-    if len(text) > MAX_DIGITS and any(
-        len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(text)
-    ):
-        return f"more than {MAX_DIGITS} digits"
-    return None
-
-
-def exact_number(text: str) -> Fraction:
-    """``Fraction(text)`` on the schema's probability language, the same on
-    every Python version.  Sizes are bounded by :func:`oversized`, not here."""
-    match = _PROB.fullmatch(text)
-    if not match:
-        raise ValueError("not an integer, n/d or decimal")
-    num, den = match.groups()
-    return Fraction(int(num), int(den or 1)) if num else Fraction(text)
-
 
 def parse_prob(text: Any) -> Fraction:
-    """Exact probability from its file representation (a string).  Sizes
-    are bounded by :func:`oversized`; error messages echo at most 40
+    """Exact probability from its file representation, a string read by
+    :func:`genred.core.as_fraction`; error messages echo at most 40
     characters of the input."""
     if not isinstance(text, str):
         raise FileFormatError(f"probability must be a string, got {echo(text)}")
-    reason = oversized(text)
-    if reason is None:
-        try:
-            return exact_number(text)
-        except ZeroDivisionError:
-            reason = "zero denominator"
-        except ValueError as exc:
-            reason = str(exc)
-    raise FileFormatError(f"bad probability {echo(text)}: {reason}")
+    try:
+        return as_fraction(text)
+    except (ArithmeticError, ValueError) as exc:
+        raise FileFormatError(f"bad probability {echo(text)}: {exc}") from None
 
 
-def _load_json(text: str) -> Any:
+def load_json(text: str) -> Any:
+    """The one reader of JSON text; every failure to decode it is a
+    :class:`FileFormatError` with a one-line message."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,6 +45,17 @@ def _load_json(text: str) -> Any:
         raise FileFormatError(f"invalid JSON: a number over {MAX_DIGITS} digits") from None
     except RecursionError:
         raise FileFormatError("invalid JSON: nested too deeply") from None
+
+
+def _snap(weights: dict, tolerance: Fraction | None) -> dict:
+    """``weights`` rescaled exactly to sum to one when their sum is positive
+    and within ``tolerance`` of one; as they are otherwise."""
+    if tolerance is None:
+        return weights
+    total = sum(weights.values(), ZERO)
+    if total != 1 and abs(total - 1) <= tolerance and total > 0:
+        return {k: p / total for k, p in weights.items()}
+    return weights
 
 
 def _require(cond: bool, message: str, *values: Any) -> None:
@@ -139,11 +106,7 @@ def parse_generator_document(
         _require(key not in kernel[src],
                  "duplicate transition {} -> ({}, {})", src, dst, sym)
         kernel[src][key] = parse_prob(t["prob"])
-    if tolerance is not None:
-        for x, row in kernel.items():
-            total = sum(row.values(), Fraction(0))
-            if total != 1 and abs(total - 1) <= tolerance and total > 0:
-                kernel[x] = {k: p / total for k, p in row.items()}
+    kernel = {x: _snap(row, tolerance) for x, row in kernel.items()}
     gen = Generator(states, alphabet, kernel)
 
     initial: dict[str, Fraction] | None = None
@@ -154,18 +117,14 @@ def parse_generator_document(
         for x, p in raw_initial.items():
             _require(x in kernel, "initial weight for unknown state {}", x)
             initial[x] = parse_prob(p)
-        if tolerance is not None:
-            total = sum(initial.values(), Fraction(0))
-            if total != 1 and abs(total - 1) <= tolerance and total > 0:
-                initial = {x: p / total for x, p in initial.items()}
+        initial = _snap(initial, tolerance)
     return gen, initial
 
 
 def parse_generator_text(
     text: str, tolerance: Fraction | None = None
 ) -> tuple[Generator, dict[str, Fraction] | None]:
-    doc = _load_json(text)
-    return parse_generator_document(doc, tolerance)
+    return parse_generator_document(load_json(text), tolerance)
 
 
 def generator_document(

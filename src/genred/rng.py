@@ -12,8 +12,11 @@ reimplementations:
     ``z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2**64``
     ``z = z ^ (z >> 31)``
 
-* uniform integers below ``n`` use rejection: draw 64-bit words until one is
-  below ``2**64 - (2**64 mod n)``, then reduce modulo ``n`` (unbiased);
+* uniform integers below ``n`` use rejection over ``k`` words, where ``k``
+  is ``ceil(bitlen(n - 1) / 64)`` (1 for every ``n <= 2**64``): draw ``k``
+  words and join them big-endian into one integer below ``2**(64k)``, until
+  that integer is below ``2**(64k) - (2**(64k) mod n)``, then reduce it
+  modulo ``n`` (unbiased);
 * a draw from an exact rational distribution over ``k`` ordered outcomes
   brings the weights to their lowest common denominator ``d``, draws
   ``r`` uniformly below ``d``, and returns the first outcome whose
@@ -32,7 +35,8 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -59,9 +63,12 @@ class SplitMix64:
             raise ValueError("n must be positive")
         if n == 1:
             return 0
-        limit = (1 << 64) - ((1 << 64) % n)
+        span = _SPAN if n <= _SPAN else _SPAN ** -(-(n - 1).bit_length() // 64)  # 2**(64k)
+        limit = span - span % n
         while True:
-            u = self.next64()
+            u, size = self.next64(), _SPAN
+            while size < span:  # a further word, big-endian
+                u, size = (u << 64) | self.next64(), size << 64
             if u < limit:
                 return u % n
 

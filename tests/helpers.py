@@ -41,6 +41,23 @@ def composition(rnd: random.Random, total: int, parts: int) -> list[int]:
     return values
 
 
+def read_exact(text: str) -> Fraction:
+    """An "n/d" string of any length, its digits read 1,000 at a time, so
+    that Python's int-from-str digit cap does not apply: the referee of
+    output past that cap."""
+
+    def digits(run: str) -> int:
+        sign, run = (-1, run[1:]) if run.startswith("-") else (1, run)
+        value = 0
+        for i in range(0, len(run), 1000):
+            chunk = run[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+
+    num, den = text.split("/")
+    return Fraction(digits(num), digits(den))
+
+
 def state_names(n: int) -> list[str]:
     return [f"q{i}" for i in range(n)]
 

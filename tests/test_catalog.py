@@ -179,6 +179,14 @@ class TestMarkovShift:
         with pytest.raises(ValueError):
             markov_shift(0, {})
 
+    def test_row_sum_message_stays_short(self):
+        with pytest.raises(RowNotNormalizedError, match="sums to 3/4$"):
+            markov_shift(1, {("0",): {"0": "1/4", "1": "1/2"}, ("1",): {"0": 1}})
+        tiny = "0." + "0" * 4299 + "1"
+        with pytest.raises(RowNotNormalizedError) as info:
+            markov_shift(1, {("0",): {"0": tiny}, ("1",): {"0": 1}})
+        assert str(info.value) == "conditional row of '0' sums to <1 digit>/<4301 digits>"
+
     def test_missing_row_rejected(self):
         cond = {("0",): {"0": Fraction(1, 2), "1": Fraction(1, 2)}}
         with pytest.raises(RowNotNormalizedError):

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from genred import Distribution, catalog, validate
+import genred
+from genred import Distribution, catalog, validate, word_probability
 from genred.cli import MAX_ROTATION_DENOMINATOR, run
 from genred.formats import dump_generator, parse_generator_text
+from helpers import read_exact
 
 
 @pytest.fixture
@@ -478,3 +484,118 @@ class TestRoundTrips:
             gen, initial = parse_generator_text(text)
             assert validate(gen) == []
             assert dump_generator(gen, Distribution(initial)) == text
+
+
+TINY = "0." + "0" * 4299 + "1"  # 1/10**4300: its denominator has 4301 digits
+
+
+def two_state_file(tmp_path, k: int) -> tuple[str, dict]:
+    """q -> r on "a" with probability 1/10**k, q -> q on "b" with the rest,
+    r -> q on "a" surely, all as decimals; returns the path and the exact
+    kernel."""
+    p = Fraction(1, 10**k)
+    doc = {
+        "format_version": 1, "states": ["q", "r"], "alphabet": ["a", "b"],
+        "transitions": [
+            {"from": "q", "to": "r", "symbol": "a", "prob": "0." + "0" * (k - 1) + "1"},
+            {"from": "q", "to": "q", "symbol": "b", "prob": "0." + "9" * k},
+            {"from": "r", "to": "q", "symbol": "a", "prob": "1"},
+        ],
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    kernel = {("q", "r", "a"): p, ("q", "q", "b"): 1 - p, ("r", "q", "a"): Fraction(1)}
+    return str(path), kernel
+
+
+class TestExactValuesOfAnyLength:
+    def test_reduce_dot_and_words_past_the_int_digit_cap(self, tmp_path, capsys):
+        path, kernel = two_state_file(tmp_path, 4300)
+        dot = tmp_path / "reduced.dot"
+        assert run(["reduce", path, "--dot", str(dot)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        renamed = doc["quotient"]
+        got = {(t["from"], t["to"], t["symbol"]): t["prob"] for t in doc["transitions"]}
+        assert got[renamed["q"], renamed["r"], "a"] == "1/1" + "0" * 4300
+        assert got[renamed["q"], renamed["q"], "b"] == "9" * 4300 + "/1" + "0" * 4300
+        assert {k: read_exact(v) for k, v in got.items()} == {
+            (renamed[x], renamed[y], s): p for (x, y, s), p in kernel.items()
+        }
+        assert f'label="a : 1/1{"0" * 4300}"' in dot.read_text()
+        assert run(["words", path, "--max-len", "2"]) == 0
+        gen, _ = parse_generator_text(Path(path).read_text())
+        mu = Distribution.uniform(gen.states)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        for line in lines:
+            word, text = line.split(" ")
+            w = () if word == "ε" else tuple(word)
+            assert read_exact(text) == word_probability(gen, mu, w)
+
+    def test_reduced_output_parses_back(self, tmp_path, capsys):
+        # 1/10**4299 has a 4300-digit denominator, the longest run a file
+        # may hold; its word table has runs of 8,599 digits
+        path, kernel = two_state_file(tmp_path, 4299)
+        assert run(["reduce", path]) == 0
+        text = capsys.readouterr().out
+        gen, initial = parse_generator_text(text)
+        assert validate(gen) == [] and initial is None
+        assert dump_generator(gen, quotient=json.loads(text)["quotient"]) == text
+        assert run(["words", path, "--max-len", "2"]) == 0
+        table = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        p = kernel["q", "r", "a"]
+        assert read_exact(table["ba"]) == (1 - p) * p / 2
+        assert len(table["ba"].split("/")[1]) == 8599
+
+    def test_echoed_values_stay_short(self, tmp_path, fixture_file, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "states": ["q"], "alphabet": ["a"],
+            "transitions": [{"from": "q", "to": "q", "symbol": "a",
+                             "prob": "1." + "0" * 4000 + "1"}],
+        }))
+        assert run(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "entry q -> (q, a) = <4002 digits>/<4002 digits> outside [0, 1]",
+            "row q sums to <4002 digits>/<4002 digits>",
+        ]
+        assert run(["words", str(path), "--max-len", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 2
+        assert all(len(line) < 300 for line in captured.err.splitlines())
+        gm = fixture_file("golden-mean")
+        for spec in (json.dumps({"A": TINY, "B": "0"}),
+                     json.dumps({"A": "1" + "0" * 4000, "B": "0"})):
+            assert run(["words", gm, "--max-len", "1", "--initial", spec]) == 1
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"{gm}: bad initial distribution: ")
+            assert len(line) < 300 and "set_int_max_str_digits" not in line
+
+    def test_long_json_number_in_initial_is_usage_error(self, fixture_file, capsys):
+        spec = '{"A": 1' + "0" * 5000 + "}"
+        code = run(["words", fixture_file("golden-mean"), "--max-len", "1",
+                    "--initial", spec])
+        err = assert_usage_error(code, capsys)
+        assert err == "bad initial spec: invalid JSON: a number over 4300 digits\n"
+
+    def test_sample_with_a_denominator_past_64_bits(self, tmp_path):
+        # a row whose lowest common denominator is 2**64 + 1 needs two words
+        # per draw; a 64-bit-only rejection loop never returns
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "states": ["q"], "alphabet": ["a", "b"],
+            "transitions": [
+                {"from": "q", "to": "q", "symbol": "a", "prob": f"1/{2**64 + 1}"},
+                {"from": "q", "to": "q", "symbol": "b", "prob": f"{2**64}/{2**64 + 1}"},
+            ],
+        }))
+        env = dict(os.environ, PYTHONPATH=str(Path(genred.__file__).parent.parent))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "genred", "sample", str(path), "--n", "3"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "bbb\n", "")
+        assert time.perf_counter() - start < 5

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +24,8 @@ from genred import (
     validate,
     word_distribution,
 )
-from helpers import brute_word_probability, random_generator, subsets
+from genred.errors import echo_number
+from helpers import brute_word_probability, random_generator, read_exact, subsets
 
 
 def fair_coin():
@@ -330,3 +333,64 @@ class TestExactArithmetic:
     def test_fraction_str_always_shows_denominator(self):
         assert fraction_str(Fraction(1)) == "1/1"
         assert fraction_str(Fraction(2, 4)) == "1/2"
+
+
+class TestNumberLanguage:
+    def test_fraction_and_int_pass_through(self):
+        half = Fraction(1, 2)
+        assert as_fraction(half) is half
+        assert as_fraction(3) == Fraction(3) and as_fraction(True) == 1
+        assert as_fraction(" -6/4 ") == Fraction(-3, 2)
+        assert as_fraction("25e-2") == as_fraction(".25") == as_fraction("1/4")
+
+    @pytest.mark.parametrize("text", ["1_0/20", "+1/2", "1 / 2", "1/ 2", "0x10",
+                                      "1e1_0", "١/٢", "", "1/-2", "inf", "nan"])
+    def test_outside_the_language_on_every_python(self, text):
+        with pytest.raises(ValueError, match="not an integer, n/d or decimal"):
+            as_fraction(text)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            as_fraction("1/0")
+
+    def test_oversized_strings_overflow_at_once(self):
+        start = time.perf_counter()
+        for text, reason in (("1e-40000000", "exponent longer than 3 digits"),
+                             ("1" * 4301 + "/2", "more than 4300 digits")):
+            with pytest.raises(OverflowError, match=reason):
+                as_fraction(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_fraction_str_past_the_int_digit_cap(self):
+        cap = sys.get_int_max_str_digits()
+        assert fraction_str(Fraction(1, 10**4300)) == "1/1" + "0" * 4300
+        assert fraction_str(Fraction(-(10**9000) - 7, 3)) == "-1" + "0" * 8999 + "7/3"
+        rnd = random.Random(11)
+        for _ in range(20):
+            num, den = rnd.getrandbits(rnd.randint(14_000, 70_000)), rnd.getrandbits(40) | 1
+            value = Fraction(-num, den)
+            assert read_exact(fraction_str(value)) == value
+        assert sys.get_int_max_str_digits() == cap
+
+    def test_echo_number_prints_short_values_as_before(self):
+        for value in (Fraction(1, 2), Fraction(-3), Fraction(10**37, 7)):
+            assert echo_number(value) == str(value)
+            assert echo_number(value, slash=True) == fraction_str(value)
+
+    def test_echo_number_shows_long_values_by_digit_counts(self):
+        assert echo_number(Fraction(1, 10**4300)) == "<1 digit>/<4301 digits>"
+        assert echo_number(Fraction(-(10**40))) == "-<41 digits>/<1 digit>"
+        assert echo_number(Fraction(10**41 - 1, 10**39 + 1), slash=True) == (
+            "<41 digits>/<40 digits>"
+        )
+
+    def test_messages_with_long_values_stay_short(self):
+        tiny = as_fraction("0." + "0" * 4299 + "1")
+        big = as_fraction("1." + "0" * 4000 + "1")
+        gen = Generator(["q"], ["a"], {"q": {("q", "a"): big}})
+        report = validate(gen)
+        assert len(report) == 2 and all(len(line) < 300 for line in report)
+        for weights in ({"a": tiny, "b": 0}, {"a": big, "b": 1 - big}):
+            with pytest.raises(ValueError) as info:
+                Distribution(weights)
+            assert len(str(info.value)) < 300

@@ -3,11 +3,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genred import (
     Distribution,
     FileFormatError,
     Generator,
+    as_fraction,
     catalog,
     minimal_reduction,
     validate,
@@ -18,6 +21,7 @@ from genred.formats import (
     dump_generator,
     dump_word_table,
     generator_document,
+    load_json,
     parse_generator_text,
     parse_prob,
 )
@@ -181,6 +185,31 @@ class TestParsing:
             parse_prob("1/0")
         with pytest.raises(FileFormatError):
             parse_prob("h")
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except (ArithmeticError, ValueError, FileFormatError):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789/.eE-+_ ", max_size=12))
+def test_one_reader_for_files_and_the_library(text):
+    value = _read(as_fraction, text)
+    assert value == _read(parse_prob, text)
+    if value is not None:  # the language is inside Python's own
+        assert value == Fraction(text)
+
+
+def test_load_json_reads_every_json_text():
+    assert load_json('{"a": ["1/2"]}') == {"a": ["1/2"]}
+    for text, reason in (("{oops", "invalid JSON: Expecting"),
+                         ("[" * 200_000, "nested too deeply"),
+                         ("[1" + "0" * 5000 + "]", "a number over 4300 digits")):
+        with pytest.raises(FileFormatError, match=reason):
+            load_json(text)
 
 
 class TestTolerance:

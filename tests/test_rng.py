@@ -6,6 +6,21 @@ import pytest
 from genred.rng import SplitMix64, thresholds
 
 
+class Bounded(SplitMix64):
+    """A stream that fails after 200 words instead of running on."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.words = 0
+
+    def next64(self) -> int:
+        self.words += 1
+        assert self.words <= 200, "no draw accepted in 200 words"
+        return super().next64()
+
+
 class TestSplitMix64:
     def test_reference_vectors_seed_zero(self):
         # first outputs of the standard splitmix64 stream for seed 0,
@@ -33,6 +48,23 @@ class TestSplitMix64:
         assert r.below(1) == 0
         with pytest.raises(ValueError):
             r.below(0)
+
+    def test_below_joins_words_past_64_bits(self):
+        # k = ceil(bitlen(n - 1) / 64) words, big-endian, rejected at or
+        # above 2**(64k) - (2**(64k) mod n); computed here from next64 alone
+        for n, k in ((2**64 + 1, 2), (2**127 + 1, 2), (3**90, 3), (2**64, 1), (7, 1)):
+            span = 1 << (64 * k)
+            limit = span - span % n
+            for seed in range(20):
+                r, words = Bounded(seed), SplitMix64(seed)
+                while True:
+                    u = 0
+                    for _ in range(k):
+                        u = (u << 64) | words.next64()
+                    if u < limit:
+                        break
+                assert r.below(n) == u % n
+                assert r.state == words.state
 
     def test_choose_is_exact_and_deterministic(self):
         weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
