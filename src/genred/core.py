@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     DistributionMismatchError,
@@ -142,7 +142,8 @@ class Generator:
     Attributes:
         states: ordered state names (canonical order = input order).
         alphabet: ordered output symbol names.
-        kernel: per-state mapping ``(next_state, symbol) -> Fraction``.
+        kernel: per-state mapping ``(next_state, symbol) -> Fraction``, in
+            canonical order: by target state index, then symbol index.
     """
 
     __slots__ = ("states", "alphabet", "kernel", "state_index", "symbol_index")
@@ -169,15 +170,10 @@ class Generator:
                 value = as_fraction(p)
                 if value != 0:
                     rows[x][(y, s)] = value
+            if len(rows[x]) > 1:  # a row of one entry is already in order
+                rows[x] = dict(sorted(rows[x].items(), key=lambda e: (
+                    self.state_index[e[0][0]], self.symbol_index[e[0][1]])))
         self.kernel = rows
-
-    def ordered_row(self, x: str) -> list[tuple[tuple[str, str], Fraction]]:
-        """Kernel entries of ``x`` ordered by target state index, then
-        symbol index: the canonical order of every emitted transition."""
-        return sorted(
-            self.kernel[x].items(),
-            key=lambda e: (self.state_index[e[0][0]], self.symbol_index[e[0][1]]),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Generator):
@@ -277,6 +273,14 @@ class Partition:
         canonical.sort(key=lambda b: index[b[0]])
         self.blocks = tuple(canonical)
         self._block_of = {x: i for i, b in enumerate(self.blocks) for x in b}
+
+    @classmethod
+    def grouped(cls, states: Sequence[str], key: Callable[[str], Hashable]) -> "Partition":
+        """Classes of equal ``key(x)``: the one grouping loop behind genred's partitions."""
+        groups: dict[Hashable, list[str]] = {}
+        for x in states:
+            groups.setdefault(key(x), []).append(x)
+        return cls(list(groups.values()), states)
 
     @classmethod
     def trivial(cls, states: Sequence[str]) -> "Partition":

@@ -136,7 +136,7 @@ def generator_document(
     target state index, then symbol index, probabilities as "n/d"."""
     transitions = []
     for x in gen.states:
-        for (y, s), p in gen.ordered_row(x):
+        for (y, s), p in gen.kernel[x].items():
             transitions.append(
                 {"from": x, "to": y, "symbol": s, "prob": fraction_str(p)}
             )
@@ -196,7 +196,7 @@ def dump_dot(gen: Generator) -> str:
     for x in gen.states:
         lines.append(f"  {quote(x)} [shape=circle];")
     for x in gen.states:
-        for (y, s), p in gen.ordered_row(x):
+        for (y, s), p in gen.kernel[x].items():
             label = f"{s} : {fraction_str(p)}"
             lines.append(f"  {quote(x)} -> {quote(y)} [label={quote(label)}];")
     lines.append("}")

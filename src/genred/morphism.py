@@ -129,6 +129,7 @@ def check_transport(m: Morphism, mu: Distribution, max_len: int) -> bool:
     source process gives to the preimage words of w2.  Raises
     :class:`NotTransitionPreservingError` when the morphism fails
     verification (the identity below has no reason to hold then).
+    ``validate`` must be empty on both generators.
     """
     ok, witness = verify(m)
     if not ok:

@@ -82,7 +82,7 @@ def word_probability(gen: Generator, mu: Distribution, w: Word) -> Fraction:
     """Probability that the process emits exactly the prefix ``w``.
 
     Cost O(|Q| + (|w| + 1) * m) for m kernel entries.  The empty word has
-    probability one.
+    probability one.  ``validate(gen)`` must be empty.
     """
     _check_distribution(gen, mu)
     for s in w:
@@ -116,7 +116,9 @@ def word_distribution(
     """Exact table of all word probabilities up to length ``max_len``.
 
     Raises :class:`SizeLimitError` when the table would exceed
-    ``size_limit`` entries (default one million).
+    ``size_limit`` entries (default one million).  ``validate(gen)`` must
+    be empty; on another kernel the :class:`WordTable` invariants do not
+    hold.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -145,7 +147,8 @@ def sample(
 ) -> tuple[Word, str]:
     """Draw an initial state from ``mu`` and iterate the kernel ``n`` times,
     returning the emitted word and the final state.  Deterministic given the
-    seed (see :mod:`genred.rng` for the exact stream definition)."""
+    seed (see :mod:`genred.rng` for the exact stream definition).
+    ``validate(gen)`` must be empty."""
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_distribution(gen, mu)
@@ -156,8 +159,8 @@ def sample(
     cached: dict[str, tuple[list, list[int]]] = {}  # state -> (pairs, thresholds)
     for _ in range(n):
         if state not in cached:
-            row = gen.ordered_row(state)
-            cached[state] = ([ys for ys, _ in row], thresholds([p for _, p in row]))
+            row = gen.kernel[state]
+            cached[state] = (list(row), thresholds(list(row.values())))
         pairs, cum = cached[state]
         state, symbol = pairs[rng.draw(cum)]
         emitted.append(symbol)
@@ -244,7 +247,8 @@ def equivalent(
     gen1: Generator, mu1: Distribution, gen2: Generator, mu2: Distribution
 ) -> bool:
     """Decide exactly whether the two processes agree on all finite words
-    (spanning-basis closure on the joint state space, Tzeng 1992)."""
+    (spanning-basis closure on the joint state space, Tzeng 1992).
+    ``validate`` must be empty on both generators."""
     return _first_difference(gen1, mu1, gen2, mu2)[0] is None
 
 
@@ -253,7 +257,8 @@ def shortest_distinguishing_word(
 ) -> Word | None:
     """The length-lexicographically first shortest word on which the two
     processes disagree, or None when they are equivalent.  Inequivalent
-    processes disagree within length |Q1| + |Q2|.
+    processes disagree within length |Q1| + |Q2|.  ``validate`` must be
+    empty on both generators.
 
     Polynomial (Kiefer et al., LMCS 2013): the forward closure decides
     equivalence and gives the length L.  With eta the vector giving mass
@@ -290,11 +295,11 @@ def causal_state_partition(gen: Generator) -> Partition:
     Two states generate the same process iff they agree on the closure of
     the all-ones vector under the transposed per-symbol matrices (the
     vectors of word probabilities seen from each state), so one basis of
-    it, whichever, classifies all states at once.
+    it, whichever, classifies all states at once.  ``validate(gen)`` must
+    be empty.
     """
     _, rows = joint_rows((gen,), backward=True)
     basis = [vec for _, vec in _span({i: 1 for i in range(len(gen.states))}, rows)]
-    signatures: dict[tuple[int, ...], list[str]] = {}
-    for i, x in enumerate(gen.states):
-        signatures.setdefault(tuple(vec.get(i, 0) for vec in basis), []).append(x)
-    return Partition(list(signatures.values()), gen.states)
+    return Partition.grouped(
+        gen.states, lambda x: tuple(vec.get(gen.state_index[x], 0) for vec in basis)
+    )

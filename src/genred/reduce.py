@@ -43,7 +43,8 @@ def class_name(block: Sequence[str]) -> str:
 
 class EventReducedGenerator:
     """A generator restricted to the events of a stable partition
-    (:func:`event_reduction` always supplies the coarsest one).
+    (:func:`event_reduction` always supplies the coarsest one): the one
+    place where reduced rows are computed and certified.
 
     ``reduced_kernel[x][(i, s)]`` is the total mass from ``x`` into block
     ``i`` of the partition while emitting ``s``, computed on construction
@@ -83,15 +84,6 @@ class ReductionResult:
 
     reduced: Generator
     quotient_map: Mapping[str, str]
-
-
-def _classes(states: Sequence[str], rows: Mapping[str, Mapping]) -> list[list[str]]:
-    """Group the states with equal rows, groups in order of first
-    appearance (the canonical block order of :class:`Partition`)."""
-    groups: dict[tuple, list[str]] = {}
-    for x in states:
-        groups.setdefault(tuple(sorted(rows[x].items())), []).append(x)
-    return list(groups.values())
 
 
 def event_reduction(gen: Generator) -> EventReducedGenerator:
@@ -156,9 +148,8 @@ def event_reduction(gen: Generator) -> EventReducedGenerator:
                 if not queued[i]:
                     queued[i] = True
                     queue.append(i)
-    return EventReducedGenerator(
-        gen, Partition([[gen.states[x] for x in block] for block in members], gen.states)
-    )
+    partition = Partition.grouped(gen.states, lambda x: block_of[gen.state_index[x]])
+    return EventReducedGenerator(gen, partition)
 
 
 def sigma_observation_partition(dg: DeterministicGenerator) -> Partition:
@@ -168,16 +159,16 @@ def sigma_observation_partition(dg: DeterministicGenerator) -> Partition:
     return event_reduction(from_deterministic(dg)).partition
 
 
-def _quotient(gen: Generator, partition: Partition) -> ReductionResult:
+def _quotient(erg: EventReducedGenerator) -> ReductionResult:
     """Merge each block into one state named by :func:`class_name`, whose
-    row is its first member's row pushed through the quotient map."""
-    names = [class_name(block) for block in partition.blocks]
-    quotient = {x: names[partition.block_index(x)] for x in gen.states}
+    row is its certified reduced row with block indices renamed to names."""
+    names = [class_name(block) for block in erg.partition.blocks]
     kernel = {
-        name: image(gen.kernel[block[0]], quotient)
-        for name, block in zip(names, partition.blocks)
+        name: {(names[i], s): p for (i, s), p in erg.reduced_kernel[block[0]].items()}
+        for name, block in zip(names, erg.partition.blocks)
     }
-    return ReductionResult(Generator(names, gen.alphabet, kernel), quotient)
+    quotient = {x: names[erg.partition.block_index(x)] for x in erg.base.states}
+    return ReductionResult(Generator(names, erg.base.alphabet, kernel), quotient)
 
 
 def state_reduction(gen: Generator) -> ReductionResult:
@@ -185,9 +176,12 @@ def state_reduction(gen: Generator) -> ReductionResult:
 
     The quotient kernel aggregates target states over their classes:
     the merged row sends mass sum over y' in [y] of T(x, (y', s)) to
-    ([y], s).
+    ([y], s).  Equal rows make a stable partition, certified by
+    :class:`EventReducedGenerator` like every other.  ``validate(gen)``
+    must be empty.
     """
-    return _quotient(gen, Partition(_classes(gen.states, gen.kernel), gen.states))
+    partition = Partition.grouped(gen.states, lambda x: tuple(gen.kernel[x].items()))
+    return _quotient(EventReducedGenerator(gen, partition))
 
 
 def minimal_reduction(gen: Generator) -> tuple[ReductionResult, EventReducedGenerator]:
@@ -197,6 +191,7 @@ def minimal_reduction(gen: Generator) -> tuple[ReductionResult, EventReducedGene
     The reduced generator produces exactly the same word distributions as
     the input for every initial distribution (pushed forward along the
     quotient map), and all of its reduced rows are pairwise distinct.
+    ``validate(gen)`` must be empty.
     """
     erg = event_reduction(gen)
-    return _quotient(gen, erg.partition), erg
+    return _quotient(erg), erg

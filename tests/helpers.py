@@ -388,6 +388,38 @@ def naive_event_reduction(gen: Generator):
         blocks = list(groups.values())
 
 
+def reference_quotient(gen: Generator, partition: Partition):
+    """Referee for the quotient builder of the reductions: the two-pass
+    quotient, in which each block becomes one state named ``c_<first
+    member>`` whose row is its first member's kernel row pushed through the
+    quotient map, summed here in Fractions.  Returns the quotient generator
+    and the map from states to class names, in state order."""
+    name = {x: f"c_{block[0]}" for block in partition.blocks for x in block}
+    kernel = {}
+    for block in partition.blocks:
+        row: dict[tuple[str, str], Fraction] = {}
+        for (y, s), p in gen.kernel[block[0]].items():
+            row[name[y], s] = row.get((name[y], s), ZERO) + p
+        kernel[name[block[0]]] = row
+    names = [name[block[0]] for block in partition.blocks]
+    return Generator(names, gen.alphabet, kernel), {x: name[x] for x in gen.states}
+
+
+def equal_row_partition(gen: Generator) -> Partition:
+    """Referee for the classes of :func:`genred.state_reduction`: states
+    grouped by pairwise comparison of their rows as mappings, so that the
+    order in which a row lists its entries plays no part."""
+    blocks: list[list[str]] = []
+    for x in gen.states:
+        for block in blocks:
+            if gen.kernel[block[0]] == gen.kernel[x]:
+                block.append(x)
+                break
+        else:
+            blocks.append([x])
+    return Partition(blocks, gen.states)
+
+
 def coarsest_partition_oracle(gen: Generator) -> Partition:
     """Oracle for :func:`genred.event_reduction` by brute force.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import genred
-from genred import Distribution, catalog, validate, word_probability
+from genred import Distribution, catalog, cli, validate, word_probability
 from genred.cli import MAX_ROTATION_DENOMINATOR, run
 from genred.formats import dump_generator, parse_generator_text
 from helpers import read_exact
@@ -217,6 +217,20 @@ class TestReduceCommand:
         assert run(["reduce", fixture_file("golden-mean-redundant"), "--mode", "state"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["states"]) == 2
+
+    def test_bad_file_initial_reads_like_words(self, tmp_path, capsys):
+        doc = json.loads(dump_generator(catalog("golden-mean-redundant")[0]))
+        doc["initial"] = {"A": "1/2"}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        errors = []
+        for argv in (["reduce", str(path)], ["words", str(path), "--max-len", "1"]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"{path}: bad initial distribution: "
+                          "weights sum to 1/2, expected exactly 1\n"] * 2
 
     def test_invalid_input_exits_one(self, tmp_path):
         doc = {
@@ -472,6 +486,30 @@ class TestSampleCommand:
         a = capsys.readouterr().out
         run(["sample", path, "--n", "32", "--seed", "2"])
         assert capsys.readouterr().out != a
+
+
+class TestParserBuiltOnce:
+    def test_usage_error_then_valid_command_as_with_fresh_parsers(
+        self, fixture_file, capsys, monkeypatch
+    ):
+        path = fixture_file("golden-mean")
+        argvs = [["words", path, "--max-len", "x"], ["words", path, "--max-len", "2"],
+                 ["reduce"], ["equiv", path, path]]
+
+        def outcome(argv):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        shared = [outcome(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(outcome(argv))
+        assert [code for code, _ in shared] == [2, 0, 2, 0]
+        assert shared == fresh
 
 
 class TestRoundTrips:

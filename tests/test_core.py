@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genred import (
     DeterministicGenerator,
@@ -12,6 +14,7 @@ from genred import (
     EmptyRelationError,
     Generator,
     NondetMachine,
+    Partition,
     UnknownStateError,
     UnknownSymbolError,
     as_fraction,
@@ -25,6 +28,7 @@ from genred import (
     word_distribution,
 )
 from genred.errors import echo_number
+from genred.formats import dump_dot, dump_generator
 from helpers import brute_word_probability, random_generator, read_exact, subsets
 
 
@@ -74,6 +78,16 @@ class TestValidate:
             f"row {q} sums to 3/2",
             f"entry {q} -> ({q}, {h}) = 3/2 outside [0, 1]",
             f"row {q} sums to 3/2",
+        ]
+
+    def test_entries_reported_in_canonical_order(self):
+        gen = Generator(["q", "r"], ["h", "t"], {
+            "q": {("r", "t"): Fraction(-1), ("r", "h"): Fraction(2), ("q", "t"): 0},
+            "r": {("r", "h"): 1},
+        })
+        assert validate(gen) == [
+            "entry q -> (r, h) = 2/1 outside [0, 1]",
+            "entry q -> (r, t) = -1/1 outside [0, 1]",
         ]
 
     def test_missing_row_reported_as_zero_sum(self):
@@ -176,6 +190,18 @@ class TestConstructors:
             Generator(["q"], ["h"], {"q": {("q", "x"): 1}})
         with pytest.raises(UnknownStateError):
             Generator(["q"], ["h"], {"r": {("q", "h"): 1}})
+
+    def test_rows_stored_in_canonical_order(self):
+        states, symbols = ["a", "b", "c"], ["0", "1"]
+        canonical = {
+            x: {(y, s): Fraction(1, 6) for y in states for s in symbols} for x in states
+        }
+        backwards = {x: dict(reversed(canonical[x].items())) for x in reversed(states)}
+        gen = Generator(states, symbols, backwards)
+        assert [list(gen.kernel[x]) for x in states] == [list(canonical[x]) for x in states]
+        same = Generator(states, symbols, canonical)
+        assert dump_generator(gen) == dump_generator(same)
+        assert dump_dot(gen) == dump_dot(same)
 
 
 class TestFiniteAdditivity:
@@ -298,6 +324,14 @@ class TestPartition:
         assert len(singles) == 3
         assert singles.refines(Partition.trivial(states))
         assert not Partition.trivial(states).refines(singles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    def test_grouped_equals_constructor(self, keys):
+        states = [f"q{i}" for i in range(len(keys))]
+        key = dict(zip(states, keys))
+        groups = [[x for x in states if key[x] == k] for k in set(keys)]
+        assert Partition.grouped(states, key.__getitem__) == Partition(groups, states)
 
 
 class TestExactArithmetic:

@@ -1,7 +1,10 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genred import (
     Distribution,
@@ -26,13 +29,18 @@ from genred import (
 )
 from genred.catalog import arc_length_distribution
 from genred.core import DeterministicGenerator
+from genred.formats import dump_generator
 from helpers import (
     coarsest_partition_oracle,
+    equal_row_partition,
     label_sequence_partition,
+    lift,
     mixed_state_machine,
+    naive_event_reduction,
     random_deterministic,
     random_distribution,
     random_generator,
+    reference_quotient,
 )
 
 
@@ -260,6 +268,65 @@ class TestMinimalReduction:
             values = list(second.quotient_map.values())
             assert len(set(values)) == len(values) == len(first.reduced.states)
             assert erg2.partition == Partition.singletons(first.reduced.states)
+
+
+class TestOneQuotientBuilder:
+    """Both reductions read their quotient off the certified rows of one
+    EventReducedGenerator."""
+
+    def test_minimal_reduction_images_each_state_once(self, monkeypatch):
+        module = importlib.import_module("genred.reduce")
+        original, calls = module.image, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "image", counted)
+        gen, _ = lift(random.Random(5), catalog("golden-mean")[0], 3)
+        _, erg = minimal_reduction(gen)
+        assert 1 < len(erg.partition) < len(gen.states)
+        assert len(calls) == len(gen.states)
+
+    def test_state_reduction_is_certified(self, monkeypatch):
+        module = importlib.import_module("genred.reduce")
+        certified = []
+
+        def recorded(gen, partition):
+            certified.append(partition)
+            return EventReducedGenerator(gen, partition)
+
+        monkeypatch.setattr(module, "EventReducedGenerator", recorded)
+        gen = catalog("golden-mean-redundant")[0]
+        result = state_reduction(gen)
+        assert certified == [equal_row_partition(gen)]
+        assert len(result.reduced.states) == 2
+
+
+@st.composite
+def generators_and_lifts(draw):
+    """Random generators with small denominators, so that equal rows and
+    nontrivial event partitions are common, half of them lifted."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gen = random_generator(
+        rnd, max_states=5, max_symbols=3, denom=draw(st.sampled_from((1, 2, 4, 12)))
+    )
+    if draw(st.booleans()):
+        gen, _ = lift(rnd, gen, draw(st.integers(2, 3)))
+    return gen
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators_and_lifts())
+def test_both_reductions_match_reference_quotient(gen):
+    for result, partition in (
+        (state_reduction(gen), equal_row_partition(gen)),
+        (minimal_reduction(gen)[0], naive_event_reduction(gen)[0]),
+    ):
+        reduced, quotient = reference_quotient(gen, partition)
+        assert result.reduced == reduced
+        assert list(result.quotient_map.items()) == list(quotient.items())
+        assert dump_generator(result.reduced) == dump_generator(reduced)
 
 
 class TestPredictionCoarserThanLumping:
