@@ -12,13 +12,10 @@ from .core import (
     DeterministicGenerator,
     Distribution,
     Generator,
-    NondetMachine,
     Partition,
     as_fraction,
-    delta,
     fraction_str,
     from_deterministic,
-    from_nondeterministic,
     pushforward,
     validate,
 )
@@ -32,9 +29,7 @@ from .catalog import (
 )
 from .errors import (
     AlphabetMismatchError,
-    ChainMismatchError,
     DistributionMismatchError,
-    EmptyRelationError,
     FileFormatError,
     GenredError,
     NotTransitionPreservingError,
@@ -44,7 +39,7 @@ from .errors import (
     UnknownStateError,
     UnknownSymbolError,
 )
-from .morphism import Morphism, check_transport, compose, relabel_outputs, verify
+from .morphism import Morphism, check_transport, relabel_outputs, verify
 from .process import (
     WordTable,
     causal_state_partition,
@@ -67,18 +62,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatchError",
-    "ChainMismatchError",
     "CircleModel",
     "DeterministicGenerator",
     "Distribution",
     "DistributionMismatchError",
-    "EmptyRelationError",
     "EventReducedGenerator",
     "FileFormatError",
     "Generator",
     "GenredError",
     "Morphism",
-    "NondetMachine",
     "NotTransitionPreservingError",
     "Partition",
     "ReductionResult",
@@ -94,13 +86,10 @@ __all__ = [
     "causal_state_partition",
     "check_transport",
     "complete_randomness",
-    "compose",
-    "delta",
     "equivalent",
     "event_reduction",
     "fraction_str",
     "from_deterministic",
-    "from_nondeterministic",
     "markov_shift",
     "minimal_reduction",
     "pushforward",

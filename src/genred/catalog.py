@@ -18,7 +18,7 @@ from .core import (
     as_fraction,
     from_deterministic,
 )
-from .errors import RowNotNormalizedError, UnknownFixtureError, echo_number
+from .errors import RowNotNormalizedError, UnknownFixtureError, echo, echo_number
 from .formats import word_separator
 
 FIXTURE_NAMES = (
@@ -191,5 +191,5 @@ def catalog(name: str) -> tuple[Generator, Distribution]:
         machine = DeterministicGenerator(states, ("0", "1"), f, g)
         return from_deterministic(machine), Distribution.uniform(states)
     raise UnknownFixtureError(
-        f"unknown fixture {name!r}; known names: {', '.join(FIXTURE_NAMES)}"
+        f"unknown fixture {echo(name)}; known names: {', '.join(FIXTURE_NAMES)}"
     )

@@ -9,7 +9,6 @@ given `--seed`.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -44,7 +43,6 @@ from .process import (
 )
 from .reduce import event_reduction, minimal_reduction, state_reduction
 
-SIZE_LIMIT_ENV = "GENRED_SIZE_LIMIT"
 # A rotation by q/p has up to 2p arcs; p = 5999 takes about a second.
 MAX_ROTATION_DENOMINATOR = 6000
 
@@ -177,21 +175,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _size_limit(args: argparse.Namespace) -> int:
-    if args.size_limit is not None:
-        return _nonnegative("--size-limit", args.size_limit)
-    env = os.environ.get(SIZE_LIMIT_ENV)
-    if env is not None:
-        try:
-            return _nonnegative(SIZE_LIMIT_ENV, int(env))
-        except ValueError:
-            raise _CommandFailure(2, f"bad {SIZE_LIMIT_ENV} value {env!r}")
-    return DEFAULT_SIZE_LIMIT
-
-
 def _cmd_words(args: argparse.Namespace) -> int:
     _nonnegative("--max-len", args.max_len)
-    limit = _size_limit(args)
+    limit = _nonnegative("--size-limit", args.size_limit)
     gen, file_initial = _load_valid_generator(args.path, args)
     mu = _resolve_initial(gen, args.initial, file_initial, args.path)
     table = word_distribution(gen, mu, args.max_len, limit)
@@ -300,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--initial", help="'uniform', a state name, or a JSON object")
-    p.add_argument("--size-limit", type=int, default=None,
-                   help=f"word-table entry cap (default {DEFAULT_SIZE_LIMIT}, "
-                   f"or ${SIZE_LIMIT_ENV})")
+    p.add_argument("--size-limit", type=int, default=DEFAULT_SIZE_LIMIT,
+                   help=f"word-table entry cap (default {DEFAULT_SIZE_LIMIT})")
     add_tolerance(p)
     p.set_defaults(func=_cmd_words)
 

@@ -22,11 +22,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import (
-    DistributionMismatchError,
-    EmptyRelationError,
     UnknownStateError,
     UnknownSymbolError,
     echo,
@@ -299,13 +297,6 @@ class Partition:
     def block_of(self, x: str) -> tuple[str, ...]:
         return self.blocks[self.block_index(x)]
 
-    def refines(self, other: "Partition") -> bool:
-        """True when every block of this partition sits inside a block of
-        ``other`` (this partition makes at least as many distinctions)."""
-        return all(
-            len({other.block_index(x) for x in block}) == 1 for block in self.blocks
-        )
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -362,36 +353,6 @@ class DeterministicGenerator:
         )
 
 
-class NondetMachine:
-    """A nondeterministic machine: each state maps to a set of possible
-    (next state, symbol) pairs.  An empty set makes the uniform
-    probabilistic lift undefined; that is reported when lifting, not here,
-    so partially built machines can still be inspected."""
-
-    __slots__ = ("states", "alphabet", "relation")
-
-    def __init__(
-        self,
-        states: Sequence[str],
-        alphabet: Sequence[str],
-        relation: Mapping[str, Iterable[tuple[str, str]]],
-    ):
-        self.states = _nonempty_names(states, "state")
-        self.alphabet = _nonempty_names(alphabet, "alphabet")
-        state_set = set(self.states)
-        symbol_set = set(self.alphabet)
-        rel: dict[str, frozenset[tuple[str, str]]] = {}
-        for x in self.states:
-            pairs = frozenset(relation.get(x, ()))
-            for y, s in pairs:
-                if y not in state_set:
-                    raise UnknownStateError(f"relation target state {y!r} undeclared")
-                if s not in symbol_set:
-                    raise UnknownSymbolError(f"relation symbol {s!r} undeclared")
-            rel[x] = pairs
-        self.relation = rel
-
-
 def validate(gen: Generator) -> list[str]:
     """Check the kernel conditions and report every violation.
 
@@ -427,27 +388,6 @@ def from_deterministic(dg: DeterministicGenerator) -> Generator:
     unit entry at (f(x), g(f(x)))."""
     kernel = {x: {(dg.f[x], dg.g[dg.f[x]]): ONE} for x in dg.states}
     return Generator(dg.states, dg.alphabet, kernel)
-
-
-def from_nondeterministic(nm: NondetMachine) -> Generator:
-    """Uniform probabilistic lift: each pair in a state's relation receives
-    mass 1/|relation|.  Raises :class:`EmptyRelationError` when a state has
-    no successor pairs."""
-    kernel: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for x in nm.states:
-        pairs = nm.relation[x]
-        if not pairs:
-            raise EmptyRelationError(x)
-        share = Fraction(1, len(pairs))
-        kernel[x] = {pair: share for pair in pairs}
-    return Generator(nm.states, nm.alphabet, kernel)
-
-
-def delta(gen: Generator, x: str) -> Distribution:
-    """Point mass at state ``x``."""
-    if x not in gen.state_index:
-        raise UnknownStateError(f"unknown state {x!r}")
-    return Distribution.point(x)
 
 
 def image(

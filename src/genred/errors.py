@@ -53,15 +53,6 @@ class UnknownSymbolError(GenredError):
     """A symbol name is not part of the alphabet it was used with."""
 
 
-class EmptyRelationError(GenredError):
-    """A nondeterministic machine has a state with no successor pairs,
-    so the uniform probabilistic lift is undefined."""
-
-    def __init__(self, state: str):
-        self.state = state
-        super().__init__(f"relation of state {state!r} is empty")
-
-
 class DistributionMismatchError(GenredError):
     """A distribution's support is not contained in the expected state set."""
 
@@ -72,10 +63,6 @@ class AlphabetMismatchError(GenredError):
 
 class SizeLimitError(GenredError):
     """An enumeration would exceed the configured size cap."""
-
-
-class ChainMismatchError(GenredError):
-    """Morphism composition was attempted on maps that do not chain."""
 
 
 class NotTransitionPreservingError(GenredError):

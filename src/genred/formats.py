@@ -74,13 +74,14 @@ def _name_list(raw: Any, field: str) -> list[str]:
 _TOP_LEVEL_KEYS = {"format_version", "states", "alphabet", "transitions", "initial", "quotient"}
 
 
-def parse_generator_document(
-    doc: Any, tolerance: Fraction | None = None
+def parse_generator_text(
+    text: str, tolerance: Fraction | None = None
 ) -> tuple[Generator, dict[str, Fraction] | None]:
-    """Decode a parsed JSON document into a generator and the optional raw
+    """Decode a generator JSON text into a generator and the optional raw
     initial weights.  Structural problems raise :class:`FileFormatError`;
     numeric validity is left to :func:`genred.core.validate` so that broken
     kernels can be loaded and reported."""
+    doc = load_json(text)
     _require(isinstance(doc, dict), "top level must be an object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
     _require(not unknown, "unknown keys {}", sorted(unknown))
@@ -119,12 +120,6 @@ def parse_generator_document(
             initial[x] = parse_prob(p)
         initial = _snap(initial, tolerance)
     return gen, initial
-
-
-def parse_generator_text(
-    text: str, tolerance: Fraction | None = None
-) -> tuple[Generator, dict[str, Fraction] | None]:
-    return parse_generator_document(load_json(text), tolerance)
 
 
 def generator_document(

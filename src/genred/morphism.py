@@ -21,7 +21,6 @@ from typing import Mapping
 
 from .core import ZERO, Distribution, Generator, image, pushforward
 from .errors import (
-    ChainMismatchError,
     NotTransitionPreservingError,
     UnknownStateError,
     UnknownSymbolError,
@@ -83,16 +82,6 @@ def verify(m: Morphism) -> tuple[bool, Witness | None]:
             )
             return False, (x, y2, s2)
     return True, None
-
-
-def compose(m1: Morphism, m2: Morphism) -> Morphism:
-    """Compose two morphisms end to end; verified inputs give a verified
-    output (verification is preserved under composition)."""
-    if m1.target != m2.source:
-        raise ChainMismatchError("m1.target and m2.source are different generators")
-    f = {x: m2.f[m1.f[x]] for x in m1.source.states}
-    g = {s: m2.g[m1.g[s]] for s in m1.source.alphabet}
-    return Morphism(m1.source, m2.target, f, g)
 
 
 def relabel_outputs(

@@ -59,10 +59,6 @@ class WordTable:
     def __getitem__(self, word: Word) -> Fraction:
         return self.probs[tuple(word)]
 
-    def words(self) -> Iterator[Word]:
-        """Words in length-lexicographic order by symbol index."""
-        return iter(self.probs)
-
 
 def _check_distribution(gen: Generator, mu: Distribution) -> None:
     extra = [x for x in mu.support if x not in gen.state_index]

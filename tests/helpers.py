@@ -420,6 +420,14 @@ def equal_row_partition(gen: Generator) -> Partition:
     return Partition(blocks, gen.states)
 
 
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """True when every block of ``fine`` sits inside a block of ``coarse``
+    (``fine`` makes at least as many distinctions)."""
+    return all(
+        len({coarse.block_index(x) for x in block}) == 1 for block in fine.blocks
+    )
+
+
 def coarsest_partition_oracle(gen: Generator) -> Partition:
     """Oracle for :func:`genred.event_reduction` by brute force.
 
@@ -439,7 +447,7 @@ def coarsest_partition_oracle(gen: Generator) -> Partition:
         if _is_stable(gen, blocks)
     ]
     coarsest = min(stable, key=len)
-    witnesses = [p for p in stable if all(q.refines(p) for q in stable)]
+    witnesses = [p for p in stable if all(refines(q, p) for q in stable)]
     assert witnesses == [coarsest], "stable partitions must have a unique coarsest"
     return coarsest
 

@@ -6,6 +6,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from genred import (
@@ -17,6 +18,7 @@ from genred import (
     equivalent,
     event_reduction,
     from_deterministic,
+    markov_shift,
     minimal_reduction,
     pushforward,
     rational_rotation,
@@ -237,12 +239,16 @@ def test_criterion_10_affineness_and_marginal_consistency():
 
 def test_criterion_11_recurrent_mixed_states_equal_minimal_reduction():
     """The epsilon-machine claim on the classes it covers: complete
-    randomness, rational rotations, golden mean and parity.  The recurrent
-    mixed states, the minimal_reduction states and the causal classes are
-    equally many, and each mixed state generates its belief's process.  The
-    referee starts from point masses, because from a uniform start the
-    transient mixed states are often infinite."""
-    with _timed(11, 30.0, "recurrent mixed states = minimal reduction, fixtures + 46 rotations"):
+    randomness, rational rotations, golden mean, parity, and order-k Markov
+    shifts (k = 1, 2, 3) with strictly positive rows.  The recurrent mixed
+    states, the minimal_reduction states and the causal classes are equally
+    many, and each mixed state generates its belief's process.  The referee
+    starts from point masses, because from a uniform start the transient
+    mixed states are often infinite.  A shift with a zero entry is left out:
+    its forbidden words leave transient history states, which
+    minimal_reduction keeps."""
+    with _timed(11, 30.0, "recurrent mixed states = minimal reduction, "
+                "fixtures + 46 rotations + 18 Markov shifts"):
         fixtures = [catalog(name)[0] for name in FIXTURE_NAMES]
         rotations = [
             from_deterministic(rational_rotation(q, p)[1])
@@ -250,8 +256,16 @@ def test_criterion_11_recurrent_mixed_states_equal_minimal_reduction():
             for q in range(p)
             if gcd(q, p) == 1
         ]
+        rnd = random.Random(0xAB)
+        shifts = []
+        for k, symbols, _ in product((1, 2, 3), ("01", "012"), range(3)):
+            cond = {}
+            for w in product(symbols, repeat=k):
+                weights = [rnd.randint(1, 4) for _ in symbols]
+                cond[w] = {s: Fraction(n, sum(weights)) for s, n in zip(symbols, weights)}
+            shifts.append(markov_shift(k, cond))
         counts = []
-        for gen in fixtures + rotations:
+        for gen in fixtures + rotations + shifts:
             msm, beliefs = mixed_state_machine(gen)
             result, _ = minimal_reduction(gen)
             assert len(msm.states) == len(result.reduced.states)

@@ -316,13 +316,6 @@ class TestWordsCommand:
         assert run(["words", fixture_file("randomness-2"), "--max-len", "4",
                     "--size-limit", "10"]) == 1
 
-    def test_size_limit_env(self, fixture_file, monkeypatch):
-        monkeypatch.setenv("GENRED_SIZE_LIMIT", "10")
-        assert run(["words", fixture_file("randomness-2"), "--max-len", "4"]) == 1
-        monkeypatch.setenv("GENRED_SIZE_LIMIT", "100")
-        assert run(["words", fixture_file("randomness-2"), "--max-len", "4"]) == 0
-
-
     def test_negative_max_len_is_usage_error(self, fixture_file, capsys):
         code = run(["words", fixture_file("golden-mean"), "--max-len", "-1"])
         assert "--max-len" in assert_usage_error(code, capsys)
@@ -331,13 +324,6 @@ class TestWordsCommand:
         code = run(["words", fixture_file("golden-mean"), "--max-len", "1",
                     "--size-limit", "-5"])
         assert "--size-limit" in assert_usage_error(code, capsys)
-
-    def test_negative_size_limit_env_is_usage_error(
-        self, fixture_file, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("GENRED_SIZE_LIMIT", "-5")
-        code = run(["words", fixture_file("golden-mean"), "--max-len", "1"])
-        assert "GENRED_SIZE_LIMIT" in assert_usage_error(code, capsys)
 
 
 @pytest.mark.parametrize("spec", [
@@ -461,6 +447,14 @@ class TestExampleCommand:
 
     def test_unknown_fixture(self, capsys):
         assert run(["example", "nonesuch"]) == 1
+
+    def test_long_unknown_fixture_name_is_one_short_line(self, capsys):
+        code = run(["example", "x" * 100_000])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 300
+        assert "unknown fixture 'xxxx" in captured.err
 
 
 class TestSampleCommand:

@@ -2,7 +2,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +10,12 @@ from hypothesis import strategies as st
 from genred import (
     DeterministicGenerator,
     Distribution,
-    EmptyRelationError,
     Generator,
-    NondetMachine,
     Partition,
     UnknownStateError,
     UnknownSymbolError,
     as_fraction,
-    delta,
     from_deterministic,
-    from_nondeterministic,
     fraction_str,
     pushforward,
     rational_rotation,
@@ -29,7 +24,7 @@ from genred import (
 )
 from genred.errors import echo_number
 from genred.formats import dump_dot, dump_generator
-from helpers import brute_word_probability, random_generator, read_exact, subsets
+from helpers import brute_word_probability, random_generator, read_exact, refines
 
 
 def fair_coin():
@@ -94,21 +89,6 @@ class TestValidate:
         gen = Generator(["q", "r"], ["h"], {"q": {("r", "h"): 1}})
         assert validate(gen) == ["row r sums to 0/1"]
 
-    def test_every_nondeterministic_lift_is_valid(self):
-        # all nonempty relation sets over 3 states x 2 symbols, used as the
-        # relation of every state
-        states = ["x", "y", "z"]
-        symbols = ["a", "b"]
-        cells = [(y, s) for y in states for s in symbols]
-        count = 0
-        for chosen in subsets(cells):
-            if not chosen:
-                continue
-            nm = NondetMachine(states, symbols, {x: chosen for x in states})
-            assert validate(from_nondeterministic(nm)) == []
-            count += 1
-        assert count == 63
-
 
 class TestConstructors:
     def test_from_deterministic_mod4_cycle(self):
@@ -145,44 +125,6 @@ class TestConstructors:
         }
         assert gen.kernel == expected
 
-    def test_singleton_relations_match_deterministic(self):
-        states = [str(i) for i in range(4)]
-        dg = DeterministicGenerator(
-            states, ["0", "1"],
-            f={str(i): str((i + 1) % 4) for i in range(4)},
-            g={str(i): str(i % 2) for i in range(4)},
-        )
-        nm = NondetMachine(
-            states, ["0", "1"],
-            {x: {(dg.f[x], dg.g[dg.f[x]])} for x in states},
-        )
-        assert from_nondeterministic(nm) == from_deterministic(dg)
-
-    def test_full_relation_uniform(self):
-        states = ["x", "y"]
-        symbols = ["a", "b"]
-        cells = {(y, s) for y in states for s in symbols}
-        nm = NondetMachine(states, symbols, {x: cells for x in states})
-        gen = from_nondeterministic(nm)
-        for x in states:
-            assert all(p == Fraction(1, 4) for p in gen.kernel[x].values())
-            assert len(gen.kernel[x]) == 4
-
-    def test_three_element_relation(self):
-        nm = NondetMachine(
-            ["0", "1"], ["a", "b"],
-            {"0": {("0", "a"), ("1", "a"), ("1", "b")}, "1": {("0", "a")}},
-        )
-        gen = from_nondeterministic(nm)
-        assert set(gen.kernel["0"].values()) == {Fraction(1, 3)}
-        assert len(gen.kernel["0"]) == 3
-
-    def test_empty_relation_rejected(self):
-        nm = NondetMachine(["0", "1"], ["a"], {"0": {("0", "a")}, "1": set()})
-        with pytest.raises(EmptyRelationError) as exc:
-            from_nondeterministic(nm)
-        assert exc.value.state == "1"
-
     def test_kernel_with_undeclared_names_rejected(self):
         with pytest.raises(UnknownStateError):
             Generator(["q"], ["h"], {"q": {("r", "h"): 1}})
@@ -204,50 +146,14 @@ class TestConstructors:
         assert dump_dot(gen) == dump_dot(same)
 
 
-class TestFiniteAdditivity:
-    def test_lift_is_finitely_additive_and_normalized(self):
-        # exhaustively over subsets of Q x Sigma with |Q|*|Sigma| <= 8
-        states = ["w", "x", "y", "z"]
-        symbols = ["a", "b"]
-        cells = [(y, s) for y in states for s in symbols]
-        rnd = random.Random(7)
-        relation = {x: set(rnd.sample(cells, rnd.randint(1, 8))) for x in states}
-
-        def t_pr(x, chosen):
-            return Fraction(len(set(chosen) & relation[x]), len(relation[x]))
-
-        for x in states:
-            assert t_pr(x, cells) == 1
-            gen = from_nondeterministic(NondetMachine(states, symbols, relation))
-            for c1 in subsets(cells):
-                rest = [c for c in cells if c not in c1]
-                # c2 ranges over subsets of the complement: disjoint by construction
-                for c2 in subsets(rest):
-                    assert t_pr(x, c1 + c2) == t_pr(x, c1) + t_pr(x, c2)
-                # cross-check against the kernel mass
-                assert t_pr(x, c1) == sum(
-                    (gen.kernel[x].get(c, Fraction(0)) for c in c1), Fraction(0)
-                )
-
-
 class TestDistributions:
-    def test_delta_point_mass(self):
-        gen = fair_coin()
-        d = delta(gen, "q")
-        assert d.weights == {"q": 1}
-        assert sum(d.weights.values()) == 1
-
-    def test_delta_unknown_state(self):
-        with pytest.raises(UnknownStateError):
-            delta(fair_coin(), "nope")
-
     def test_delta_table_matches_row_process(self):
         rnd = random.Random(11)
         gen = random_generator(rnd, max_states=3, max_symbols=2)
         x = gen.states[0]
-        table = word_distribution(gen, delta(gen, x), 3)
+        table = word_distribution(gen, Distribution.point(x), 3)
         for w, p in table.probs.items():
-            assert p == brute_word_probability(gen, delta(gen, x), w)
+            assert p == brute_word_probability(gen, Distribution.point(x), w)
 
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -322,8 +228,8 @@ class TestPartition:
         assert len(Partition.trivial(states)) == 1
         singles = Partition.singletons(states)
         assert len(singles) == 3
-        assert singles.refines(Partition.trivial(states))
-        assert not Partition.trivial(states).refines(singles)
+        assert refines(singles, Partition.trivial(states))
+        assert not refines(Partition.trivial(states), singles)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))

@@ -14,7 +14,6 @@ from genred import (
     Distribution,
     Generator,
     causal_state_partition,
-    delta,
     equivalent,
     from_deterministic,
     pushforward,
@@ -45,7 +44,9 @@ def assert_causal_matches_pairwise(gen):
     for x in gen.states:
         for y in gen.states:
             same_block = partition.block_of(x) == partition.block_of(y)
-            assert same_block == equivalent(gen, delta(gen, x), gen, delta(gen, y))
+            assert same_block == equivalent(
+                gen, Distribution.point(x), gen, Distribution.point(y)
+            )
 
 
 def near_equivalent_base(rnd: random.Random):
@@ -81,7 +82,8 @@ class TestWitnessAgainstBfs:
                 continue
             gen1, gen2 = from_deterministic(dg1), from_deterministic(dg2)
             if rnd.random() < 0.5:
-                mu1, mu2 = delta(gen1, gen1.states[0]), delta(gen2, gen2.states[0])
+                mu1 = Distribution.point(gen1.states[0])
+                mu2 = Distribution.point(gen2.states[0])
             else:
                 mu1 = random_distribution(rnd, gen1.states)
                 mu2 = random_distribution(rnd, gen2.states)
