@@ -63,45 +63,31 @@ class CircleModel:
     def arc_names(self) -> tuple[str, ...]:
         return tuple(f"a{i}" for i in range(len(self.arcs)))
 
-    def arc_containing(self, angle: Fraction) -> int:
-        angle = angle % 1
-        for i, (lo, hi) in enumerate(self.arcs):
-            if lo <= angle < hi:
-                return i
-        raise ValueError(f"angle {angle} not covered")  # arcs cover [0, 1)
-
 
 def rational_rotation(q: int, p: int) -> tuple[CircleModel, DeterministicGenerator]:
     """Arc model of the rotation by q/p of a turn, plus its deterministic
     machine over arcs.
 
-    Breakpoints are the rotation orbit of 0 and of 1/2; there are p arcs
-    when p is even and 2p when p is odd (adding a half turn to multiples of
-    1/p lands back on the grid exactly when p is even).
+    Breakpoints are the rotation orbit of 0 and of 1/2.  With q/p in lowest
+    terms the orbit of 0 is every multiple of 1/p, and a half turn lands
+    back on that grid exactly when p is even, so the breakpoints are the
+    multiples of 1/n for n = p (even p) or n = 2p (odd p).  Arc j is
+    [j/n, (j+1)/n), and the rotation moves it onto arc j + q*n/p (mod n).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if gcd(q, p) != 1:
         raise ValueError(f"{q}/{p} is not in lowest terms")
-    step = Fraction(q, p) % 1
-    points = set()
-    for j in range(p):
-        points.add((j * step) % 1)
-        points.add((Fraction(1, 2) + j * step) % 1)
-    breakpoints = tuple(sorted(points))
+    n = p if p % 2 == 0 else 2 * p
+    breakpoints = tuple(Fraction(j, n) for j in range(n))
     edges = breakpoints + (Fraction(1),)
-    arcs = tuple((edges[i], edges[i + 1]) for i in range(len(breakpoints)))
-    labels = tuple("1" if hi <= Fraction(1, 2) else "2" for lo, hi in arcs)
-    model = CircleModel(rotation=step, breakpoints=breakpoints, arcs=arcs, labels=labels)
-
-    rotated = {(b + step) % 1 for b in breakpoints}
-    if rotated != set(breakpoints):
-        raise AssertionError("rotation must permute the breakpoint set")
+    arcs = tuple(zip(edges, edges[1:]))
+    labels = tuple("1" if 2 * j < n else "2" for j in range(n))
+    model = CircleModel(Fraction(q, p) % 1, breakpoints, arcs, labels)
     names = model.arc_names
-    starting_at = {lo: name for name, (lo, _) in zip(names, arcs)}
-    f = {name: starting_at[(lo + step) % 1] for name, (lo, _) in zip(names, arcs)}
-    g = dict(zip(names, labels))
-    machine = DeterministicGenerator(names, ("1", "2"), f, g)
+    shift = q * (n // p)
+    f = {names[j]: names[(j + shift) % n] for j in range(n)}
+    machine = DeterministicGenerator(names, ("1", "2"), f, dict(zip(names, labels)))
     return model, machine
 
 

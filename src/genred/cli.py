@@ -43,7 +43,8 @@ from .process import (
 )
 from .reduce import event_reduction, minimal_reduction, state_reduction
 
-# A rotation by q/p has up to 2p arcs; p = 5999 takes about a second.
+# A rotation by q/p has up to 2p arcs; `example rotation:1/5999` takes
+# about 0.3 s (Python 3.11, one core of a shared VM), 0.02 s of it the arcs.
 MAX_ROTATION_DENOMINATOR = 6000
 
 

@@ -39,6 +39,8 @@ Vector = dict[int, int]  # sparse integer vector: index -> nonzero entry
 Basis = list[tuple[int, Vector]]  # (pivot, primitive vector) in echelon order
 
 DEFAULT_SIZE_LIMIT = 10**6
+# The printed table may hold this many characters per allowed entry.
+TEXT_PER_ENTRY = 256
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,26 @@ def _table_too_large(n_symbols: int, max_len: int, size_limit: int) -> bool:
     return total > size_limit
 
 
+def _text_too_large(
+    n_symbols: int, max_len: int, width: int, denom: int, kernel_denom: int, limit: int
+) -> bool:
+    """Whether an upper bound on the characters of the printed table passes
+    ``limit``.  A line of length l holds its word (at most l * ``width``
+    characters, or the one of the empty word), a space, a slash, a newline
+    and a reduced fraction of at most 1 whose denominator divides
+    ``denom * kernel_denom**l``.  Digit counts come from bit lengths, so no
+    power is built; the sum stops as soon as it passes the limit."""
+    bits, step = denom.bit_length(), kernel_denom.bit_length()
+    total, lines = 0, 1
+    for length in range(max_len + 1):
+        digits = (bits + length * step) * 30103 // 100000 + 1  # 0.30103 > log10(2)
+        total += lines * (length * width + 2 * digits + 4)
+        if total > limit:
+            return True
+        lines *= n_symbols
+    return False
+
+
 def word_distribution(
     gen: Generator,
     mu: Distribution,
@@ -112,9 +134,10 @@ def word_distribution(
     """Exact table of all word probabilities up to length ``max_len``.
 
     Raises :class:`SizeLimitError` when the table would exceed
-    ``size_limit`` entries (default one million).  ``validate(gen)`` must
-    be empty; on another kernel the :class:`WordTable` invariants do not
-    hold.
+    ``size_limit`` entries (default one million), or when its printed text
+    could exceed ``TEXT_PER_ENTRY`` characters per allowed entry; both are
+    checked before any vector work.  ``validate(gen)`` must be empty; on
+    another kernel the :class:`WordTable` invariants do not hold.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -123,6 +146,10 @@ def word_distribution(
         raise SizeLimitError(f"table would hold more than {size_limit} entries")
     kernel_denom, rows = joint_rows((gen,), backward=False)
     denom, vec0 = _scaled_initial(gen, mu)
+    width = max(len(s) for s in gen.alphabet) + 1  # a symbol and a separator
+    text_limit = size_limit * TEXT_PER_ENTRY
+    if _text_too_large(len(gen.alphabet), max_len, width, denom, kernel_denom, text_limit):
+        raise SizeLimitError(f"table text could exceed {text_limit} characters")
     probs: dict[Word, Fraction] = {(): Fraction(sum(vec0.values()), denom)}
     level: list[tuple[Word, Vector]] = [((), vec0)]
     for _ in range(max_len):

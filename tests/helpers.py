@@ -9,6 +9,7 @@ raw breakpoints, so they can referee the fast implementations.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
@@ -20,6 +21,7 @@ from genred import (
     Partition,
     SizeLimitError,
 )
+from genred.catalog import CircleModel
 from genred.core import joint_rows
 from genred.process import _span
 from genred.rng import SplitMix64
@@ -84,6 +86,25 @@ def random_generator(
         weights = composition(rnd, denom, len(cells))
         kernel[x] = {
             cell: Fraction(w, denom) for cell, w in zip(cells, weights) if w
+        }
+    return Generator(states, symbols, kernel)
+
+
+def random_unifilar(
+    rnd: random.Random, n_states: int, n_symbols: int, denom: int = 12
+) -> Generator:
+    """Random unifilar generator: each state spreads multiples of
+    1/``denom`` over the symbols at random, and each symbol it emits leads
+    to one successor drawn at random."""
+    states = state_names(n_states)
+    symbols = symbol_names(n_symbols)
+    kernel = {}
+    for x in states:
+        weights = composition(rnd, denom, n_symbols)
+        kernel[x] = {
+            (rnd.choice(states), s): Fraction(w, denom)
+            for s, w in zip(symbols, weights)
+            if w
         }
     return Generator(states, symbols, kernel)
 
@@ -267,6 +288,23 @@ def mixed_state_machine(gen: Generator, cap: int = 200):
     }
     msm = Generator(list(names.values()), gen.alphabet, kernel)
     return msm, {names[i]: Distribution(beliefs[i]) for i in names}
+
+
+def recurrent_part(gen: Generator) -> Generator:
+    """The states in terminal strongly connected components of the
+    transition graph, with their rows: a closed set, so the rows still sum
+    to one.  A state is kept when every state it reaches reaches it back."""
+    reach = {}
+    for x in gen.states:
+        seen, stack = {x}, [x]
+        while stack:
+            for y, _ in gen.kernel[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        reach[x] = seen
+    kept = [x for x in gen.states if all(x in reach[y] for y in reach[x])]
+    return Generator(kept, gen.alphabet, {x: gen.kernel[x] for x in kept})
 
 
 def marked_cycle(n: int) -> Generator:
@@ -460,6 +498,18 @@ def rotation_breakpoints(q: int, p: int) -> set[Fraction]:
         points.add((j * step) % 1)
         points.add((Fraction(1, 2) + j * step) % 1)
     return points
+
+
+def arc_containing(model: CircleModel, angle: Fraction) -> int:
+    """Oracle: the index of the arc of ``model`` holding ``angle`` mod 1,
+    found by bisection on the arcs' left ends and checked against the right
+    end."""
+    angle %= 1
+    i = bisect_right(model.arcs, angle, key=lambda arc: arc[0]) - 1
+    lo, hi = model.arcs[i]
+    if not lo <= angle < hi:
+        raise ValueError(f"angle {angle} not covered")
+    return i
 
 
 def subsets(items):

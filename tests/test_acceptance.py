@@ -38,6 +38,8 @@ from helpers import (
     random_deterministic,
     random_distribution,
     random_generator,
+    random_unifilar,
+    recurrent_part,
     rotation_breakpoints,
 )
 
@@ -106,7 +108,7 @@ def test_criterion_02_rational_rotation_arcs_and_discreteness():
             model, machine = rational_rotation(q, p)
             expected = p if p % 2 == 0 else 2 * p
             assert len(model.arcs) == expected
-            assert len(rotation_breakpoints(q, p)) == expected
+            assert model.breakpoints == tuple(sorted(rotation_breakpoints(q, p)))
             erg = event_reduction(from_deterministic(machine))
             assert erg.partition == Partition.singletons(machine.states)
 
@@ -274,3 +276,32 @@ def test_criterion_11_recurrent_mixed_states_equal_minimal_reduction():
                 assert equivalent(gen, belief, msm, Distribution.point(state))
             counts.append(len(msm.states))
         assert counts[: len(fixtures)] == [1, 4, 6, 2, 2, 2]
+
+
+def test_criterion_12_recurrent_part_of_shifts_with_zeros_and_unifilar_generators():
+    """The epsilon-machine claim where criterion 11 cannot look: Markov
+    shifts with zero entries and random unifilar generators.  Their
+    transient states are cut off first; on the recurrent part (the terminal
+    strongly connected components) the recurrent mixed states, the
+    minimal_reduction states and the causal classes are equally many."""
+    with _timed(12, 3.0, "recurrent part: mixed states = minimal reduction = causal "
+                "classes, 90 Markov shifts with zeros + 200 unifilar generators"):
+        rnd = random.Random(0xAC)
+        shifts = []
+        for k, symbols, _ in product((1, 2, 3), ("01", "012"), range(15)):
+            cond = {}
+            for w in product(symbols, repeat=k):
+                weights = [0] * len(symbols)
+                while not any(weights):
+                    weights = [rnd.randint(0, 4) for _ in symbols]
+                cond[w] = {s: Fraction(n, sum(weights)) for s, n in zip(symbols, weights)}
+            shifts.append(markov_shift(k, cond))
+        unifilar = [
+            random_unifilar(rnd, rnd.randint(2, 9), rnd.randint(2, 3)) for _ in range(200)
+        ]
+        for gen in shifts + unifilar:
+            part = recurrent_part(gen)
+            msm, _ = mixed_state_machine(part)
+            result, _ = minimal_reduction(part)
+            assert len(msm.states) == len(result.reduced.states)
+            assert len(msm.states) == len(causal_state_partition(part))

@@ -22,7 +22,7 @@ from genred import (
 )
 from genred.catalog import FIXTURE_NAMES, arc_length_distribution
 from genred.formats import dump_generator, parse_generator_text
-from helpers import rotation_breakpoints
+from helpers import arc_containing, rotation_breakpoints
 
 
 class TestCompleteRandomness:
@@ -59,14 +59,33 @@ class TestRationalRotation:
                 model, machine = rational_rotation(q, p)
                 expected = p if p % 2 == 0 else 2 * p
                 assert len(model.arcs) == expected
-                assert len(model.breakpoints) == len(rotation_breakpoints(q, p))
+                assert model.breakpoints == tuple(sorted(rotation_breakpoints(q, p)))
                 assert len(machine.states) == expected
 
-    def test_rotation_permutes_breakpoints(self):
-        for q, p in ((1, 4), (1, 3), (2, 5), (1, 6), (3, 7)):
-            model, _ = rational_rotation(q, p)
-            shifted = {(b + model.rotation) % 1 for b in model.breakpoints}
-            assert shifted == set(model.breakpoints)
+    def test_closed_form_matches_orbit_referee(self):
+        # every coprime q/p with 1 <= p <= 30 and -p <= q <= 2p, against the
+        # orbit of 0 and 1/2 and the arc the rotated left end lands in
+        half = Fraction(1, 2)
+        for p in range(1, 31):
+            for q in range(-p, 2 * p + 1):
+                if gcd(q, p) != 1:
+                    continue
+                model, machine = rational_rotation(q, p)
+                assert model.rotation == Fraction(q, p) % 1
+                assert model.breakpoints == tuple(sorted(rotation_breakpoints(q, p)))
+                shifted = {(b + model.rotation) % 1 for b in model.breakpoints}
+                assert shifted == set(model.breakpoints)
+                edges = model.breakpoints + (Fraction(1),)  # starts at 0
+                assert model.arcs == tuple(zip(edges, edges[1:]))
+                assert all(hi <= half or lo >= half for lo, hi in model.arcs)
+                assert model.labels == tuple(
+                    "1" if hi <= half else "2" for _, hi in model.arcs
+                )
+                names = model.arc_names
+                for name, (lo, _) in zip(names, model.arcs):
+                    successor = arc_containing(model, lo + model.rotation)
+                    assert machine.f[name] == names[successor]
+                assert machine.g == dict(zip(names, model.labels))
 
     def test_quotient_is_permutation_automaton(self):
         for q, p in ((1, 1), (1, 4), (2, 5), (1, 6)):
@@ -113,7 +132,7 @@ class TestRationalRotation:
         assert sorted(machine.f.values()) == sorted(machine.states)
         names = model.arc_names
         for i in range(0, len(names), 800):
-            successor = model.arc_containing(model.arcs[i][0] + model.rotation)
+            successor = arc_containing(model, model.arcs[i][0] + model.rotation)
             assert machine.f[names[i]] == names[successor]
 
     def test_not_coprime_rejected(self):

@@ -128,7 +128,7 @@ class TestValidateCommand:
         err = assert_usage_error(run(["validate", str(path)]), capsys)
         assert err == f"{path}: invalid JSON: nested too deeply\n"
 
-    def test_tolerance_flag(self, tmp_path):
+    def test_tolerance_flag(self, tmp_path, capsys):
         third = "0.333333333"
         doc = {
             "format_version": 1,
@@ -143,6 +143,9 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run(["validate", str(path)]) == 1
         assert run(["validate", str(path), "--tolerance"]) == 0
+        capsys.readouterr()
+        code = run(["validate", str(path), "--tolerance=-1/2"])
+        assert assert_usage_error(code, capsys) == "tolerance must be >= 0\n"
 
 
 class TestReduceCommand:
@@ -563,6 +566,20 @@ class TestExactValuesOfAnyLength:
             word, text = line.split(" ")
             w = () if word == "ε" else tuple(word)
             assert read_exact(text) == word_probability(gen, mu, w)
+
+    def test_long_digit_word_table_is_one_short_line(self, tmp_path, capsys):
+        # every step multiplies the denominator by 10**4300: the entry cap
+        # admits --max-len 18, whose text would run to gigabytes, and the
+        # text bound refuses the first length it cannot admit, 11
+        path, _ = two_state_file(tmp_path, 4300)
+        start = time.perf_counter()
+        code = run(["words", path, "--max-len", "11"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "table text could exceed 256000000 characters\n"
+        assert elapsed < 1.0
 
     def test_reduced_output_parses_back(self, tmp_path, capsys):
         # 1/10**4299 has a 4300-digit denominator, the longest run a file

@@ -29,6 +29,7 @@ from genred.catalog import arc_length_distribution
 from genred.formats import dump_word_table, word_name
 from helpers import (
     all_words,
+    arc_containing,
     brute_word_probability,
     label_sequence_partition,
     lift,
@@ -155,7 +156,7 @@ class TestWordDistribution:
             emitted = []
             for _ in range(4):
                 angle = (angle + model.rotation) % 1
-                emitted.append(model.labels[model.arc_containing(angle)])
+                emitted.append(model.labels[arc_containing(model, angle)])
             for k in range(5):
                 expected[tuple(emitted[:k])] += hi - lo
         assert dict(table.probs) == expected
